@@ -18,8 +18,8 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline: CDC replay of the change log derived from the
     sf0.001 events table through the full engine (normalize → partial LWW
-    reduce → hash partition → actor-pool merge → manifest commit), then the
-    visible final state in stable (conv_id, turn_idx) order."""
+    reduce → hash partition → per-partition merge task → manifest commit),
+    then the visible final state in stable (conv_id, turn_idx) order."""
     from migration_pair_ray.pipelines.queries import cdc_lww_merge
     return cdc_lww_merge("/root/testdata/sf0.001")
 

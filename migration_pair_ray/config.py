@@ -39,8 +39,9 @@ class JobConfig:
     # write and gated on every later pass; changing it means
     # repartition_lake to a new lake.  Bounded by design (whales are few).
     hot_convs: list[str] | None = None
-    # Actor pool size for the merge/apply stage; None = let Ray scale tasks.
-    apply_concurrency: int | tuple[int, int] | None = None
+    # Most merge/apply tasks running at once (a positive int); None = no
+    # cap beyond the cluster's free CPUs.
+    apply_concurrency: int | None = None
     # Schema compliance policy: "strict" (reference EndToEnd.cs:51-85
     # semantics: exact name+type match) | "evolve" (added nullable columns
     # allowed, incompatible type changes abort).
@@ -142,6 +143,11 @@ class JobConfig:
                 f"site); salt everything with partition_mode='key' instead")
         if self.num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
+        if self.apply_concurrency is not None and (
+                not isinstance(self.apply_concurrency, int)
+                or self.apply_concurrency <= 0):
+            raise ValueError(f"apply_concurrency must be a positive int or "
+                             f"None, got {self.apply_concurrency!r}")
         if self.merge_kernel not in ("row", "cell"):
             raise ValueError(
                 f"merge_kernel must be 'row'|'cell', got {self.merge_kernel!r}")

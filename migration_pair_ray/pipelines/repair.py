@@ -354,25 +354,6 @@ def _effective_passes(cfg: JobConfig) -> list[dict]:
     return eff
 
 
-class _RefillApplier:
-    """Applier wrapper stamping ``lineage_break`` into the manifest commit
-    ATOMICALLY (the refilled partition's retained history is gone — time
-    travel to earlier passes must raise, not silently answer 'empty';
-    same rule as split/merge children, state/manifest.py)."""
-
-    def __init__(self, *args):
-        from migration_pair_ray.stages.applier import Applier
-        self._inner = Applier(*args)
-        inner_commit = self._inner._commit
-
-        def commit(pid: int, record: dict, referenced: set) -> None:
-            inner_commit(pid, dict(record, lineage_break=True), referenced)
-        self._inner._commit = commit
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        return self._inner(group)
-
-
 def refill_partition(cfg: JobConfig, pid: int) -> dict:
     """Rebuild ONE partition's state from the retained change log — the
     recovery path for a lost/corrupted state file when no replica exists
@@ -515,9 +496,9 @@ def _refill_locked(cfg: JobConfig, pid: int) -> dict:
                     make_quarantine_gate(str(qdir), cfg.merge_kernel),
                     batch_format="pyarrow")
             lineage = apply_changes_ds(ds, cfg, pass_id,
-                                       applier_cls=_RefillApplier,
                                        splits=splits, hot_convs=hot,
-                                       pass_seq=last_seq)
+                                       pass_seq=last_seq,
+                                       lineage_break=True)
             if lineage.num_rows:
                 rows_applied = int(pa.compute.sum(
                     lineage.column("rows_in")).as_py() or 0)

@@ -6,8 +6,11 @@
       → partial LWW reduce map_batches           (combiner: ≤1 row per key
                                                   per batch crosses the wire)
       → add hash-partition column                (conv / salted-key mode)
-      → groupby(part).map_groups(Applier, ...)   (the ONE shuffle; actor pool
-                                                  merges + commits manifests)
+      → groupby(part).map_groups(merge_partition)
+                                                 (the ONE shuffle; plain Ray
+                                                  tasks merge each partition
+                                                  + commit its manifest;
+                                                  nothing outlives the pass)
       → lineage records → pass checkpoint
 
 The reference's EndToEnd (``Tasks/EndToEnd.cs:20-49``) is the degenerate
@@ -18,6 +21,7 @@ and a hot conversation can be salted across partitions with mode="key").
 
 from __future__ import annotations
 
+import functools
 import time
 from pathlib import Path
 
@@ -28,28 +32,34 @@ from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
 from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
-from migration_pair_ray.stages.applier import Applier, LINEAGE_SCHEMA
+from migration_pair_ray.stages.applier import LINEAGE_SCHEMA, merge_partition
 from migration_pair_ray.stages.partition import PART_COL, add_partition_column
 from migration_pair_ray.state.manifest import CheckpointStore, compute_pass_id
 
 
 def apply_changes_ds(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
-                     applier_cls: type = Applier,
                      splits: dict[int, tuple[int, int]] | None = None,
                      pass_seq: int = -1,
-                     hot_convs: tuple[str, ...] = ()) -> pa.Table:
+                     hot_convs: tuple[str, ...] = (),
+                     lineage_break: bool = False,
+                     merge_fn=merge_partition) -> pa.Table:
     """Run the partition→merge→commit tail of the pipeline on a normalized
     change Dataset; returns the lineage table (one row per partition).
 
     ``splits`` is the lake's incremental-split map (LakeMeta.splits):
     events for a split base partition route to its children, so a replay
     after a split merges into child state without touching other
-    partitions.
+    partitions.  ``lineage_break`` is stamped into every commit record
+    (refill: the partition's retained history is gone).  ``merge_fn`` is
+    the per-partition merge (``merge_partition``'s signature); tests swap
+    in a fault-injecting one (testing.py).
 
-    The merge stage carries EXPLICIT retry semantics (the analog of the
-    reference's write-timeout retry policy, ``Policies/RetryPolicy.cs:18-23``):
-    a failed/retried merge task is safe because every effect is gated on
-    the idempotent manifest commit — the retry rewrites identical bytes.
+    The merge stage is plain Ray tasks, at most ``cfg.apply_concurrency``
+    at once, so a pass holds no CPU after it returns.  It carries EXPLICIT
+    retry semantics (the analog of the reference's write-timeout retry
+    policy, ``Policies/RetryPolicy.cs:18-23``): a merge task whose worker
+    dies is retried, which is safe because every effect is gated on the
+    idempotent manifest commit — the retry rewrites identical bytes.
     """
     # whole-block batches (batch_size=None): zero-copy through the fused
     # map stages; an explicit batch_size would re-slice and copy each block.
@@ -64,21 +74,12 @@ def apply_changes_ds(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
                                        hot_convs),
         batch_format="pyarrow",
     )
-    conc = cfg.apply_concurrency or (1, min(cfg.num_partitions, 16))
     lineage = ds.groupby(PART_COL).map_groups(
-        applier_cls,
-        fn_constructor_args=(cfg.lake_dir, cfg.manifest_dir, pass_id,
-                             cfg.hash_state, cfg.merge_chunk_rows,
-                             cfg.state_chunk_rows, cfg.retain_passes,
-                             pass_seq, cfg.mor_max_deltas,
-                             cfg.merge_kernel),
+        functools.partial(merge_fn, cfg=cfg, pass_id=pass_id,
+                          pass_seq=pass_seq, lineage_break=lineage_break),
         batch_format="pyarrow",
-        concurrency=conc,
-        num_cpus=1,
-        # a merge actor that dies mid-task is restarted and the task
-        # retried; safe because commits are manifest-gated + idempotent
-        max_restarts=-1,
-        max_task_retries=cfg.apply_max_retries,
+        concurrency=cfg.apply_concurrency,
+        max_retries=cfg.apply_max_retries,
     )
     out = lineage.take_all()  # tiny: one record per partition
     return pa.Table.from_pylist(out, schema=LINEAGE_SCHEMA)
@@ -508,7 +509,7 @@ def final_state(cfg: JobConfig, sort: bool = True, drop_meta: bool = True,
     slice is finalizable).  Cell-kernel lakes finalize per PARTITION (a
     key's visible row folds from its whole determiner set): the fold runs
     inside one read task per partition via ``read_lake(finalize=...)`` —
-    the same granularity the Applier merges at, so it holds at scale."""
+    the same granularity the merge tasks work at, so it holds at scale."""
     from migration_pair_ray.state.manifest import LakeMeta
     kernel = LakeMeta(cfg.lake_dir).merge_kernel()
     if columns is not None:

@@ -1,12 +1,14 @@
-"""The upsert-apply stage: an actor-pool ``map_groups`` over partition ids.
+"""The upsert-apply stage: ``groupby(PART_COL).map_groups(merge_partition)``
+in plain Ray tasks.
 
 This is the Ray-Data-native replacement for the reference's batched async
 Cassandra writer (``Tasks/MigrationTask.cs:118-134`` + the implicit upsert
-semantics of ``:101-104``).  The session-held-once-per-worker pattern
-(``Tasks/MigrationTask.cs:29-60`` static session singleton) becomes actor
-state: the ``Applier`` class is instantiated once per pool actor
-(``__init__``), and each ``__call__`` merges ONE partition's pre-reduced
-change events with that partition's existing lake file.
+semantics of ``:101-104``).  The reference holds one session per worker
+(``Tasks/MigrationTask.cs:29-60``); nothing here is worth holding across
+partitions — an ``Applier`` is its config values plus a ``ManifestStore``
+— so a merge task builds one per partition group, merges that
+partition's pre-reduced change events with its existing lake file,
+commits and returns, leaving nothing alive after the pass.
 
 Exactly-once under Ray retries: all effects are gated on the atomic
 manifest commit; the state file name is derived from the deterministic
@@ -24,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import merge_tables_chunked
 from migration_pair_ray.schemas import MERGE_KEYS
 from migration_pair_ray.stages.partition import PART_COL
@@ -73,43 +76,40 @@ def write_state_parquet(table: pa.Table, path: str) -> int:
     return nbytes
 
 
-class Applier:
-    """Callable class for ``groupby(PART_COL).map_groups(Applier, ...)``.
+def merge_partition(group: pa.Table, cfg: JobConfig, pass_id: str,
+                    pass_seq: int, lineage_break: bool) -> pa.Table:
+    """The merge stage's ``map_groups`` function: merge and commit one
+    partition's change group; returns its lineage row."""
+    return Applier(cfg, pass_id, pass_seq, lineage_break)(group)
 
-    One call = one partition's change group for one pass.  Constructor args
-    are plain picklable values (Ray ships them to each pool actor once).
+
+class Applier:
+    """Merges and commits one partition's change group for one pass;
+    ``merge_partition`` builds one per group inside its merge task.
+
+    ``pass_seq`` is the pass's monotone job-level sequence
+    (CheckpointStore.next_seq), stamped into every record so as-of reads
+    can order records even for partitions a given pass never touched.
+    ``lineage_break`` stamps the commit record too: a refilled partition's
+    retained history is gone, so time travel to earlier passes must
+    raise, not silently answer 'empty' (state/manifest.py).
 
     With ``state_chunk_rows > 0`` the committed state is a list of
     key-range chunk files (manifest ``data_files``) and a merge rewrites
     ONLY the chunks whose key range the incoming changes touch — the
     Parquet-row-group pruning idea lifted to files (COMPACTION.md).
+    In cell mode (``merge_kernel="cell"``) a state file holds each key's
+    DETERMINER rows (≤ n_cols+2 per key), not one winner.
     """
 
-    def __init__(self, lake_dir: str, manifest_dir: str, pass_id: str,
-                 hash_state: bool = True, merge_chunk_rows: int = 4_000_000,
-                 state_chunk_rows: int = 0, retain_passes: int = 0,
-                 pass_seq: int = -1, mor_max_deltas: int = 0,
-                 merge_kernel: str = "row"):
-        self.lake_dir = lake_dir
+    def __init__(self, cfg: JobConfig, pass_id: str, pass_seq: int,
+                 lineage_break: bool):
+        self.cfg = cfg
+        self.lake_dir = cfg.lake_dir
         self.pass_id = pass_id
-        self.hash_state = hash_state
-        self.merge_chunk_rows = merge_chunk_rows
-        self.state_chunk_rows = state_chunk_rows
-        # time-travel retention: keep the last N superseded manifest
-        # records (and the state files they reference) per partition
-        self.retain_passes = retain_passes
-        # monotone job-level sequence of this pass (CheckpointStore.next_seq)
-        # stamped into every record so as-of reads can order records even
-        # for partitions a given pass never touched
         self.pass_seq = pass_seq
-        # merge-on-read: > 0 appends delta files instead of rewriting the
-        # base, compacting when a partition would exceed this many deltas
-        self.mor_max_deltas = mor_max_deltas
-        # "row" (whole-row LWW) | "cell" (patch-op column-level LWW) —
-        # decides the reduce/merge kernel; in cell mode a state file holds
-        # each key's DETERMINER rows (≤ n_cols+2 per key), not one winner
-        self.merge_kernel = merge_kernel
-        self.manifests = ManifestStore(manifest_dir)  # once per actor
+        self.lineage_break = lineage_break
+        self.manifests = ManifestStore(cfg.manifest_dir)
 
     def _state_file(self, pid: int, seq: int | None = None) -> str:
         d = Path(self.lake_dir) / f"part={pid:05d}"
@@ -130,7 +130,7 @@ class Applier:
     # ---------------------------------------------------------- state I/O
 
     def _hash_file(self, path: str) -> str:
-        if not self.hash_state:
+        if not self.cfg.hash_state:
             return ""
         from migration_pair_ray.state.manifest import sha256_file
         return sha256_file(path)
@@ -148,7 +148,7 @@ class Applier:
         ``state_chunk_rows`` rows, cut at key-group boundaries (one key
         never spans two chunks).  Returns (manifest entries, next seq)."""
         entries = write_chunk_files(
-            self.lake_dir, merged, self.state_chunk_rows,
+            self.lake_dir, merged, self.cfg.state_chunk_rows,
             name_fn=lambda s: self._state_file(pid, s),
             hash_file=self._hash_file, start_seq=seq)
         return entries, seq + len(entries)
@@ -156,8 +156,10 @@ class Applier:
     def _commit(self, pid: int, record: dict, referenced: set[str]) -> None:
         if self.pass_seq >= 0:
             record = dict(record, pass_seq=self.pass_seq)
-        self.manifests.commit(pid, record, retain=self.retain_passes)
-        if self.retain_passes > 0:
+        if self.lineage_break:
+            record = dict(record, lineage_break=True)
+        self.manifests.commit(pid, record, retain=self.cfg.retain_passes)
+        if self.cfg.retain_passes > 0:
             # GC keeps everything the committed manifest still pins —
             # current record AND retained prev_records (time-travel window)
             from migration_pair_ray.state.manifest import referenced_files
@@ -183,7 +185,7 @@ class Applier:
         lsn_lo = int(pc.min(changes.column("lsn")).as_py())
         lsn_hi = int(pc.max(changes.column("lsn")).as_py())
 
-        if self.mor_max_deltas > 0 and prev is not None:
+        if self.cfg.mor_max_deltas > 0 and prev is not None:
             out = self._apply_mor(pid, prev, changes)
             if out is not None:
                 record, rows_in = out
@@ -203,7 +205,7 @@ class Applier:
             # degenerate null keys — the merge paths below fold the
             # existing deltas via read_state_table / _fold_deltas
 
-        if self.state_chunk_rows > 0:
+        if self.cfg.state_chunk_rows > 0:
             out = self._apply_chunked(pid, prev, changes)
             if out is not None:
                 entries, rows_in = out
@@ -228,7 +230,7 @@ class Applier:
             # fall through: degenerate (null merge keys) → single-file merge
 
         existing = read_state_table(self.lake_dir, prev,
-                                    kernel=self.merge_kernel)
+                                    kernel=self.cfg.merge_kernel)
 
         # merge sorts by (conv_id, turn_idx, ts, lsn) and keeps the
         # kernel's surviving rows per key — its output is therefore already
@@ -236,8 +238,9 @@ class Applier:
         # sort needed.  The chunked variant bounds the transient
         # sort/concat working set when a skewed partition outgrows
         # merge_chunk_rows.
-        merged = merge_tables_chunked(existing, changes, self.merge_chunk_rows,
-                                      self.merge_kernel)
+        merged = merge_tables_chunked(existing, changes,
+                                      self.cfg.merge_chunk_rows,
+                                      self.cfg.merge_kernel)
 
         tombstones = int(pc.sum(
             pc.cast(pc.equal(merged.column("op"), "D"), pa.int64())
@@ -277,10 +280,10 @@ class Applier:
         from migration_pair_ray.state.manifest import record_files
 
         deltas = list(prev.get("delta_files", []))
-        if len(deltas) + 1 > self.mor_max_deltas:
+        if len(deltas) + 1 > self.cfg.mor_max_deltas:
             return None
         rows_in = changes.num_rows
-        reduced = reduce_events(changes, self.merge_kernel)
+        reduced = reduce_events(changes, self.cfg.merge_kernel)
         if any(reduced.column(k).null_count > 0 for k in MERGE_KEYS):
             return None
 
@@ -351,7 +354,7 @@ class Applier:
 
         rows_in = changes.num_rows
         changes = reduce_events(self._fold_deltas(prev, changes),
-                                self.merge_kernel)
+                                self.cfg.merge_kernel)
         if any(changes.column(k).null_count > 0 for k in MERGE_KEYS):
             return None
 
@@ -368,8 +371,8 @@ class Applier:
                     existing.column(k).null_count > 0 for k in MERGE_KEYS):
                 return None
             merged = merge_tables_chunked(existing, changes,
-                                          self.merge_chunk_rows,
-                                          self.merge_kernel)
+                                          self.cfg.merge_chunk_rows,
+                                          self.cfg.merge_kernel)
             new_entries, _ = self._write_chunks(pid, merged, 0)
             return new_entries, rows_in
 
@@ -397,8 +400,8 @@ class Applier:
             chunk_tbl = pq.read_table(str(Path(self.lake_dir) / ent["file"]))
             merged = merge_tables_chunked(chunk_tbl,
                                           changes.slice(lo_c, hi_c - lo_c),
-                                          self.merge_chunk_rows,
-                                          self.merge_kernel)
+                                          self.cfg.merge_chunk_rows,
+                                          self.cfg.merge_kernel)
             written, seq = self._write_chunks(pid, merged, seq)
             new_entries.extend(written)
         return new_entries, rows_in

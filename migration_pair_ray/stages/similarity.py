@@ -806,9 +806,13 @@ def hnsw_probe(index_dir: str, queries: np.ndarray, k: int = 10,
         if not os.path.exists(path):
             return []
         graph = _HNSW.from_table(pq.read_table(path))
+        # margin over k, as in brute_force_topk: the cross-bucket merge
+        # re-ranks on ROUNDED cosine (tie-broken by id), so near-boundary
+        # candidates must survive the local unrounded cut
+        kk = min(3 * k, len(graph.ids))
         out = []
         for qi in q_idx:
-            for s, ext in graph.search(qn[qi], k, ef_search=ef_search):
+            for s, ext in graph.search(qn[qi], kk, ef_search=ef_search):
                 out.append((int(qi), ext, float(s)))
         return out
 

@@ -3,8 +3,8 @@ story (importable on Ray workers — test modules are not).
 
 The reference handles write-timeouts by sleeping and retrying the write
 (``Policies/RetryPolicy.cs:18-23``).  Here the equivalent guarantee is that
-a merge task whose worker dies mid-task is retried by Ray
-(``max_restarts``/``max_task_retries`` on the apply stage) and the retry is
+a merge task whose worker dies mid-task is retried by Ray (the task's
+``max_retries=cfg.apply_max_retries`` on the apply stage) and the retry is
 harmless because every effect is gated on the idempotent manifest commit.
 """
 
@@ -13,23 +13,20 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from migration_pair_ray.stages.applier import merge_partition
 
-class FaultInjectingApplier:
-    """Applier whose worker process dies mid-task exactly once — the first
-    attempt to create the marker file wins the right to crash.  Subsequent
-    attempts (including the retried task on the restarted actor) proceed
-    normally.  Pass as ``applier_cls`` to ``apply_changes_ds``."""
 
-    def __init__(self, *args, **kwargs):
-        from migration_pair_ray.stages.applier import Applier
-        self._inner = Applier(*args, **kwargs)
-
-    def __call__(self, group):
-        marker = Path(self._inner.lake_dir) / "_fault_injected_once"
-        try:
-            marker.touch(exist_ok=False)
-        except FileExistsError:
-            pass
-        else:
-            os._exit(1)   # simulate a worker crash mid-task
-        return self._inner(group)
+def fault_injecting_merge(group, cfg, pass_id, **kw):
+    """``merge_partition`` whose worker process dies mid-task exactly once
+    — the first attempt to create the marker file wins the right to crash.
+    Later attempts (including the retried task) merge normally.  Pass as
+    ``merge_fn`` to ``apply_changes_ds``."""
+    marker = Path(cfg.lake_dir) / "_fault_injected_once"
+    marker.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        marker.touch(exist_ok=False)
+    except FileExistsError:
+        pass
+    else:
+        os._exit(1)   # simulate a worker crash mid-task
+    return merge_partition(group, cfg, pass_id, **kw)

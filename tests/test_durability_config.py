@@ -109,14 +109,54 @@ def test_applier_midtask_retry_bit_identical(tmp_lake, tmp_path):
     cfg_flaky = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=4)
     cfg_clean = JobConfig(changelog_dir=log, lake_dir=lake2, num_partitions=4)
 
-    from migration_pair_ray.testing import FaultInjectingApplier
+    from migration_pair_ray.testing import fault_injecting_merge
     lineage = apply_changes_ds(read_changes(files, schema), cfg_flaky,
-                               pass_id, applier_cls=FaultInjectingApplier)
+                               pass_id, merge_fn=fault_injecting_merge)
     # the injected crash did fire
     assert (pathlib.Path(lake) / "_fault_injected_once").exists()
     assert lineage.num_rows == 4
     apply_changes_ds(read_changes(files, schema), cfg_clean, pass_id)
     assert _state_hashes(lake) == _state_hashes(lake2)
+
+
+def _cpus_back(before: float, timeout_s: float = 2.0) -> float:
+    """Logical CPUs free once they reach ``before`` or ``timeout_s`` ends."""
+    import time
+    import ray
+    deadline = time.monotonic() + timeout_s
+    while True:
+        free = ray.available_resources().get("CPU", 0.0)
+        if free >= before or time.monotonic() > deadline:
+            return free
+        time.sleep(0.05)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_passes_release_their_cpus(tmp_lake, tmp_path):
+    """Back-to-back passes (no gc.collect between them, as the tail loop
+    runs them) give every logical CPU they took back when they return:
+    a merge stage still holding CPUs after a pass stalls the next one."""
+    import dataclasses
+    import ray
+    from migration_pair_ray.pipelines.replay import repartition_lake
+
+    log, lake = tmp_lake
+    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=8,
+                    apply_concurrency=2)
+    for i in range(4):
+        gen = str(tmp_path / f"gen{i}")
+        generate_change_log(gen, n_events=400, n_convs=8, n_files=1,
+                            tool_epoch=1, seed=70 + i)
+        src = next(pathlib.Path(gen).glob("batch-*.parquet"))
+        src.rename(pathlib.Path(log)
+                   / f"batch-{i:05d}-{src.name.split('-', 2)[2]}")
+        before = ray.available_resources().get("CPU", 0.0)
+        assert replay(cfg)["files"] == 1
+        assert _cpus_back(before) >= before, f"pass {i} kept CPUs"
+    before = ray.available_resources().get("CPU", 0.0)
+    repartition_lake(cfg, dataclasses.replace(
+        cfg, lake_dir=str(tmp_path / "lake4"), num_partitions=4))
+    assert _cpus_back(before) >= before, "repartition_lake kept CPUs"
 
 
 @pytest.mark.usefixtures("ray_session")

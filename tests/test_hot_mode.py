@@ -281,6 +281,11 @@ def test_hot_config_validation():
     with pytest.raises(ValueError, match="only applies"):
         JobConfig(changelog_dir="x", lake_dir="y", partition_mode="conv",
                   hot_convs=["a"])
+    # merge tasks take one cap; a JSON array (from_json) or an actor-pool
+    # style (min, max) tuple must fail here, not inside Ray's planner
+    for bad in ([1, 4], (1, 4), 0, -2):
+        with pytest.raises(ValueError, match="apply_concurrency"):
+            JobConfig(changelog_dir="x", lake_dir="y", apply_concurrency=bad)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -314,6 +314,37 @@ def test_embedding_dedup_shuffle_equals_broadcast():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_hnsw_probe_rounded_tie_across_buckets(tmp_path):
+    """Ids 10 and 1 share a bucket, id 5 sits in the other; their cosines
+    to the query (0.5000002, 0.4999998, 0.5) all round to 0.5, so the
+    oracle's top-1 is id 1 by the id tie-break.  A probe that keeps only
+    the unrounded per-bucket top-k drops id 1 behind id 10 and answers 5;
+    the per-bucket cut needs the same margin as brute_force_topk."""
+    from migration_pair_ray.stages.similarity import hnsw_build, hnsw_probe
+
+    def at(c: float, side: int) -> np.ndarray:
+        return np.array([c, side * np.sqrt(1 - c * c)], np.float32)
+
+    emb = pd.DataFrame({
+        "vec_id": [10, 1, 20, 5, 21],
+        "embedding": [at(0.5000002, 1), at(0.4999998, 1), at(0.2, 1),
+                      at(0.5, -1), at(0.2, -1)]})
+    idx = str(tmp_path / "hnsw")
+    hnsw_build(ray.data.from_pandas(emb), idx, n_clusters=2, m=4,
+               ef_construction=8)
+    cent = np.load(f"{idx}/centroids.npy")
+    bucket = {i: int(np.argmax(cent @ v))
+              for i, v in zip(emb["vec_id"], emb["embedding"])}
+    assert bucket[10] == bucket[1] != bucket[5]
+
+    q = np.array([[1.0, 0.0]], np.float32)
+    got = hnsw_probe(idx, q, k=1, n_probe=2)
+    want = numpy_oracle_topk(emb, q, 1)
+    assert [(r["query_id"], r["vec_id"], r["cos"])
+            for r in got.to_pylist()] == want[0] == [(0, 1, 0.5)]
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_hnsw_crashed_build_is_invisible(tmp_path):
     """_meta.json is the build's commit marker (written LAST): without it
     probe/append refuse, so a killed build can never serve an index with
