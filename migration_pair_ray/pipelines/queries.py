@@ -2192,39 +2192,6 @@ def doc_decontaminate(sf_dir: str, n: int = 8, bench_mod: int = 97):
     return decontaminate(corpus, bench, n=n).sort("doc_id")
 
 
-def doc_decontaminate_join(sf_dir: str, n: int = 8, bench_mod: int = 97):
-    """Same fixture and oracle as doc_decontaminate, hard-forced onto the
-    DISTRIBUTED scrubber (stages/curation.decontaminate_join — the
-    beyond-broadcast-gram-store path: bloom-prefiltered hash join on gram
-    hashes, exact-string verify of candidate docs only).  A recorded
-    proof that the scale path is bit-exact against SQL, not just
-    equivalence-tested against the broadcast path."""
-    from migration_pair_ray.stages.curation import decontaminate_join
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-
-    def split(t: pa.Table, want_bench: bool) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        mask = (ids % bench_mod == 0) == want_bench
-        return t.filter(pa.array(mask))
-
-    bench = ds.map_batches(lambda t: split(t, True), batch_format="pyarrow")
-    corpus = ds.map_batches(lambda t: split(t, False), batch_format="pyarrow")
-    return decontaminate_join(corpus, bench, n=n).sort("doc_id")
-
-
-def doc_tfidf_top_join(sf_dir: str):
-    """doc_tfidf_top hard-forced onto the fully distributed join scorer
-    (stages/curation.tfidf_top_join — the beyond-vocab-ceiling path: term
-    runs hash-joined with the df table, per-doc argmax in coarse
-    doc-hash groups).  Same SQL oracle as the broadcast scan."""
-    from migration_pair_ray.stages.curation import tfidf_top_join
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
-    n_docs = ds.count()
-    return tfidf_top_join(ds, n_docs).sort("doc_id")
-
-
 def doc_chunk_windows(sf_dir: str, size: int = 32, stride: int = 24):
     """Training-window chunker (stages/curation.py chunk_batch): each doc's
     token list → overlapping windows of `size` tokens advancing by
@@ -2462,9 +2429,9 @@ def doc_shuffle_shards(sf_dir: str, n_shards: int = 8):
 
 def doc_tfidf_top(sf_dir: str):
     """Per-document top tf-idf term (stages/curation.tfidf_top_term):
-    distributed document-frequency combiner → broadcast vocabulary store
-    (`ray.put` once, `pc.index_in` exact lookup per batch) → streaming
-    scored scan; int-scaled scores make the ranking bit-portable."""
+    distributed document-frequency combiner, term runs hash-joined with
+    the df table, per-doc argmax in coarse doc-hash groups; int-scaled
+    scores make the ranking bit-portable."""
     from migration_pair_ray.stages.curation import tfidf_top_term
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
@@ -2473,24 +2440,16 @@ def doc_tfidf_top(sf_dir: str):
 
 
 @_push_heavy
-def cdc_changefeed(sf_dir: str, impl: str = "copart"):
+def cdc_changefeed(sf_dir: str):
     """Changefeed emission — the downstream-consumer surface of a CDC
     engine: the NET per-key effect (insert / update / delete with
     before/after text) of advancing the lake from a checkpoint state
     (files 0-1 of the derived log) to the current state (the full log).
-    Both states come from REAL replay passes.
-
-    ``impl="copart"`` (default): the two lakes share the SAME layout, so
-    the diff runs as ``feed.diff_lakes`` — one LOCAL outer join per
-    partition, **zero exchange** (nothing moves but the changed rows);
-    the 100-TB shape for same-layout changefeeds.
-    ``impl="join"``: the generic mixed-layout path — a distributed
-    full-outer hash join on the merge key with explicit presence markers
-    (value columns can be legitimately null, so nullity of the payload
-    can't signal absence), role/tool dictionary-coded on the wire.
-    Both are oracle-checked (`cdc_changefeed` / `cdc_changefeed_join`);
-    keys whose winner is unchanged emit nothing either way."""
-    from migration_pair_ray.stages.join import hash_join
+    Both states come from REAL replay passes into lakes of the same
+    layout, so the diff runs as ``feed.diff_lakes`` — one LOCAL outer
+    join per partition, **zero exchange** (nothing moves but the changed
+    rows).  Keys whose winner is unchanged emit nothing."""
+    from migration_pair_ray.pipelines.feed import diff_lakes
     src = _events_lake(sf_dir)
     root = Path(src.changelog_dir).parent
     log_pre, lake_pre = str(root / "log_feed"), str(root / "lake_feed")
@@ -2506,89 +2465,12 @@ def cdc_changefeed(sf_dir: str, impl: str = "copart"):
     pre_cfg = JobConfig(changelog_dir=log_pre, lake_dir=lake_pre,
                         num_partitions=16)
     replay(pre_cfg)   # idempotent no-op when up to date
-
-    if impl == "copart":
-        from migration_pair_ray.pipelines.feed import diff_lakes
-        return (diff_lakes(pre_cfg, src)
-                .map_batches(lambda t: t.select(
-                    ["conv_id", "turn_idx", "change",
-                     "before_text", "after_text"]),
-                    batch_format="pyarrow")
-                .sort(["conv_id", "turn_idx"]))
-
-    def mark(t: pa.Table, prefix: str) -> pa.Table:
-        return pa.table({
-            "conv_id": t.column("conv_id"),
-            "turn_idx": t.column("turn_idx"),
-            f"{prefix}_role": t.column("role"),
-            f"{prefix}_text": t.column("text"),
-            f"{prefix}_tool": t.column("tool"),
-            f"{prefix}_ts": t.column("ts"),
-            f"__{prefix}": pa.array(np.ones(t.num_rows, np.int8))})
-
-    a = final_state(pre_cfg, sort=False).map_batches(
-        lambda t: mark(t, "before"), batch_format="pyarrow")
-    b = final_state(src, sort=False).map_batches(
-        lambda t: mark(t, "after"), batch_format="pyarrow")
-    # role/tool are low-cardinality: dictionary-code them on the wire so
-    # the outer join's exchange ships int32 codes + one tiny per-block
-    # dictionary instead of repeated strings (decoded in-bucket — result
-    # bytes identical)
-    j = hash_join(a, b, on=["conv_id", "turn_idx"], how="outer",
-                  dict_cols=["before_role", "before_tool",
-                             "after_role", "after_tool"])
-
-    def classify(t: pa.Table) -> pa.Table:
-        in_a = pc.is_valid(t.column("__before"))
-        in_b = pc.is_valid(t.column("__after"))
-
-        def same(col: str):
-            x, y = t.column(f"before_{col}"), t.column(f"after_{col}")
-            eq = pc.fill_null(pc.equal(x, y), False)
-            both_null = pc.and_(pc.is_null(x), pc.is_null(y))
-            return pc.or_(eq, both_null)
-
-        unchanged = same("role")
-        for c in ("text", "tool", "ts"):
-            unchanged = pc.and_(unchanged, same(c))
-        ins = pc.and_(pc.invert(in_a.combine_chunks()
-                                if isinstance(in_a, pa.ChunkedArray)
-                                else in_a), in_b)
-        dele = pc.and_(in_a, pc.invert(in_b.combine_chunks()
-                                       if isinstance(in_b, pa.ChunkedArray)
-                                       else in_b))
-        emit = pc.or_(pc.or_(ins, dele),
-                      pc.and_(pc.and_(in_a, in_b), pc.invert(
-                          unchanged.combine_chunks()
-                          if isinstance(unchanged, pa.ChunkedArray)
-                          else unchanged)))
-        t = t.filter(emit)
-        ins_np = pc.and_(pc.invert(pc.is_valid(t.column("__before")).
-                                   combine_chunks()),
-                         pc.is_valid(t.column("__after"))
-                         ).to_numpy(zero_copy_only=False)
-        del_np = pc.and_(pc.is_valid(t.column("__before")),
-                         pc.invert(pc.is_valid(t.column("__after")).
-                                   combine_chunks())
-                         ).to_numpy(zero_copy_only=False)
-        change = np.where(ins_np, "insert",
-                          np.where(del_np, "delete", "update"))
-        return pa.table({
-            "conv_id": t.column("conv_id"),
-            "turn_idx": t.column("turn_idx"),
-            "change": pa.array(change.tolist(), pa.string()),
-            "before_text": t.column("before_text"),
-            "after_text": t.column("after_text")})
-
-    return (j.map_batches(classify, batch_format="pyarrow")
+    return (diff_lakes(pre_cfg, src)
+            .map_batches(lambda t: t.select(
+                ["conv_id", "turn_idx", "change",
+                 "before_text", "after_text"]),
+                batch_format="pyarrow")
             .sort(["conv_id", "turn_idx"]))
-
-
-def cdc_changefeed_join(sf_dir: str):
-    """The generic mixed-layout changefeed path (distributed full-outer
-    hash join), kept oracle-verified alongside the co-partitioned
-    default — the fallback ``diff_lakes`` refuses to silently take."""
-    return cdc_changefeed(sf_dir, impl="join")
 
 
 @_push_heavy

@@ -1,7 +1,8 @@
 """Corpus-curation operators for training-data pipelines: benchmark
 decontamination (broadcast n-gram semi-join), sliding-window chunking
-(vectorized flat-map), and corpus vocabulary statistics (word count with a
-per-block combiner).
+(vectorized flat-map), corpus vocabulary statistics (word count with a
+per-block combiner) and per-doc top tf-idf term (term runs joined with
+the document-frequency table).
 
 Reference analog: none — these generalize the curation steps a 100-TB
 text-corpus pipeline needs on top of the reference's row-copy engine
@@ -90,9 +91,8 @@ def word_gram_hashes(flat_tokens: pa.Array, offsets: np.ndarray, n: int,
 
 def _gram_rows_batch(t: pa.Table, text_col: str, n: int) -> pa.Table:
     """(gh, g) rows of a batch's word n-grams WITH materialized strings —
-    the one extraction both the broadcast store and the join-side
-    distillation use (bench side only: gram strings are bounded by the
-    eval set, never the corpus)."""
+    the broadcast store's extraction (bench side only: gram strings are
+    bounded by the eval set, never the corpus)."""
     flat, offs = word_lists(t.column(text_col))
     h, _, pos = word_gram_hashes(flat, offs, n)
     toks = np.asarray(flat.to_pandas(), dtype=object)
@@ -166,144 +166,15 @@ def decontaminate(docs: rd.Dataset, bench: rd.Dataset, n: int = 8,
     (``passthrough=True`` appends the flags to the input columns instead).
 
     The classic broadcast semi-join shape — the big side streams, the
-    small side rides the object store; no shuffle of the corpus.  For a
-    benchmark store too large to broadcast (many eval suites ×
-    languages), ``decontaminate_join`` is the distributed twin."""
+    small side rides the object store; no shuffle of the corpus.  Limit:
+    the gram store (distinct eval-set grams) must fit in one node's
+    object store — an eval set is small by design."""
     store = benchmark_gram_store(bench, text_col=text_col, n=n)
     return docs.map_batches(
         Decontaminator, fn_constructor_kwargs=dict(
             store_ref=store, n=n, text_col=text_col, id_col=id_col,
             passthrough=passthrough),
         batch_format="pyarrow", concurrency=concurrency)
-
-
-def bench_gram_rows(bench: rd.Dataset, text_col: str = "text",
-                    n: int = 8) -> rd.Dataset:
-    """Distributed (gh, g) rows of a benchmark's distinct word n-grams —
-    the join-side twin of ``benchmark_gram_store`` (nothing funnels to
-    the driver; dedup is one gram-sized groupby)."""
-
-    def first(g: pa.Table) -> pa.Table:
-        return g.slice(0, 1)
-
-    return (bench.map_batches(lambda t: _gram_rows_batch(t, text_col, n),
-                              batch_format="pyarrow")
-            .groupby(["gh", "g"]).map_groups(first, batch_format="pyarrow"))
-
-
-def build_gram_index(bench: rd.Dataset, index_dir: str, n: int = 8,
-                     text_col: str = "text", num_buckets: int = 16) -> int:
-    """Persist a benchmark's gram store as a partitioned on-disk index —
-    ``<index_dir>/bucket=<gh % num_buckets>/base.parquet`` with (gh, g)
-    rows; ``_meta.json`` commits last (crash-invisible build, same
-    contract as ``build_fingerprint_index``).  Lets the scrub side load
-    the store from disk (``read_gram_index``) instead of re-distilling
-    the benchmark every run.  Returns the distinct-gram count."""
-    import json
-    import os
-    import pyarrow.parquet as pq
-    from migration_pair_ray.state.manifest import _atomic_write
-
-    rows_ds = bench_gram_rows(bench, text_col=text_col, n=n)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (t.column("gh").to_numpy(zero_copy_only=False)
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
-    def write_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"n": pa.array([], pa.int64())})
-        b = int(g.column("__b")[0].as_py())
-        bdir = os.path.join(index_dir, f"bucket={b}")
-        os.makedirs(bdir, exist_ok=True)
-        path = os.path.join(bdir, "base.parquet")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        out = (g.drop_columns(["__b"])
-               .sort_by([("gh", "ascending"), ("g", "ascending")]))
-        pq.write_table(out, tmp)
-        os.replace(tmp, path)
-        return pa.table({"n": pa.array([out.num_rows], pa.int64())})
-
-    rows = (rows_ds.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("__b").map_groups(write_bucket, batch_format="pyarrow")
-            .take_all())
-    total = int(sum(r["n"] for r in rows))
-    _atomic_write(os.path.join(index_dir, "_meta.json"),
-                  json.dumps({"num_buckets": num_buckets, "n": n,
-                              "distinct": total}).encode())
-    return total
-
-
-def read_gram_index(index_dir: str) -> tuple[rd.Dataset, int]:
-    """(gram Dataset, n) for ``decontaminate_join(gram_ds=...)``."""
-    import glob
-    import json
-    import os
-    meta = json.loads(open(os.path.join(index_dir, "_meta.json")).read())
-    files = sorted(glob.glob(os.path.join(index_dir, "bucket=*",
-                                          "base.parquet")))
-    return rd.read_parquet(files, file_extensions=None), int(meta["n"])
-
-
-def decontaminate_join(docs: rd.Dataset, bench: rd.Dataset | None = None,
-                       n: int = 8, text_col: str = "text",
-                       id_col: str = "doc_id", passthrough: bool = False,
-                       gram_ds: rd.Dataset | None = None) -> rd.Dataset:
-    """Distributed decontamination — the beyond-broadcast twin of
-    ``decontaminate`` for gram stores too large to ``ray.put``: the gram
-    table stays a Dataset (freshly distilled or ``read_gram_index``) and
-    candidate overlaps are found by a bloom-prefiltered ``hash_join`` on
-    the gram hash.  Only the CANDIDATE (doc, gram) pairs — bounded by
-    actual contamination plus 64-bit collisions, rare by construction —
-    come back to the driver; the exact-string verification then runs
-    inside a second streaming pass over the corpus with each candidate
-    doc's bench-gram strings (so, exactly like the broadcast path, a
-    hash collision can never flag a clean doc).  The corpus itself is
-    never shuffled — only its slim (id, gh) gram rows enter the join,
-    and the bench-side bloom drops non-candidates before that exchange.
-    Same output contract as ``decontaminate``."""
-    from migration_pair_ray.stages.join import hash_join
-    if gram_ds is None:
-        if bench is None:
-            raise ValueError("need bench or gram_ds")
-        gram_ds = bench_gram_rows(bench, text_col=text_col, n=n)
-
-    def doc_gh(t: pa.Table) -> pa.Table:
-        flat, offs = word_lists(t.column(text_col))
-        h, doc_of, _ = word_gram_hashes(flat, offs, n)
-        return pa.table({id_col: t.column(id_col).take(pa.array(doc_of)),
-                         "gh": pa.array(h, pa.uint64())})
-
-    cand = hash_join(docs.map_batches(doc_gh, batch_format="pyarrow"),
-                     gram_ds, on="gh", how="inner", bloom_from="right")
-    cand_by_doc: dict = {}
-    for row in cand.take_all():
-        cand_by_doc.setdefault(row[id_col], set()).add(row["g"])
-    cand_ref = ray.put(cand_by_doc)
-
-    def verify(t: pa.Table) -> pa.Table:
-        cands = ray.get(cand_ref)
-        ids = t.column(id_col).to_pylist()
-        n_hit = np.zeros(t.num_rows, dtype=np.int64)
-        todo = [i for i, d in enumerate(ids) if d in cands]
-        if todo:
-            flat, offs = word_lists(t.column(text_col))
-            toks = np.asarray(flat.to_pandas(), dtype=object)
-            _, doc_of, pos = word_gram_hashes(flat, offs, n)
-            for i in todo:
-                sel = pos[doc_of == i]
-                gs = {" ".join(toks[p:p + n]) for p in sel}
-                n_hit[i] = len(gs & cands[ids[i]])
-        flags = (pa.array(n_hit, pa.int64()),
-                 pa.array(n_hit > 0, pa.bool_()))
-        if passthrough:
-            return (t.append_column("n_hit", flags[0])
-                    .append_column("contaminated", flags[1]))
-        return pa.table({id_col: t.column(id_col),
-                         "n_hit": flags[0], "contaminated": flags[1]})
-
-    return docs.map_batches(verify, batch_format="pyarrow")
 
 
 # ----------------------------------------------------------------- chunker
@@ -503,105 +374,6 @@ def doc_freq(docs: rd.Dataset, text_col: str = "text") -> rd.Dataset:
             .groupby("term").aggregate(Sum("df", alias_name="df")))
 
 
-def tfidf_store(docs: rd.Dataset, n_docs: int, text_col: str = "text",
-                min_df: int = 1, df_ds: rd.Dataset | None = None
-                ) -> "ray.ObjectRef":
-    """Distill the corpus vocabulary into a broadcastable scoring store:
-    ``{"vocab": pa.Array[str], "df": int64[], "idf": float64[]}`` with
-    smoothed ``idf = ln((N+1)/(df+1)) + 1``.  The df computation runs
-    distributed; only the vocabulary table funnels to the driver —
-    bounded by |vocab| (``tfidf_top_term(mode="auto")`` measures the
-    vocabulary and switches to the fully distributed join path before a
-    web-scale tail would blow this broadcast; ``min_df`` remains the
-    manual prune).  ``df_ds``: reuse an already-computed ``doc_freq``
-    Dataset (auto mode counts it anyway)."""
-    if df_ds is None:
-        df_ds = doc_freq(docs, text_col=text_col)
-    pdf = df_ds.to_pandas()
-    if min_df > 1:
-        pdf = pdf[pdf["df"] >= min_df]
-    pdf = pdf.sort_values("term").reset_index(drop=True)
-    dfv = pdf["df"].to_numpy(dtype=np.int64)
-    idf = np.log((n_docs + 1.0) / (dfv + 1.0)) + 1.0
-    return ray.put({"vocab": pa.array(pdf["term"], pa.string()),
-                    "df": dfv, "idf": idf})
-
-
-class TfIdfTop:
-    """Actor-pool stage (ST1: store fetched once per actor): per document,
-    the top-1 term by smoothed tf-idf.  Scores are floor-scaled to int64
-    (``floor(tf·idf·1e6)``) so ranking and output are bit-portable to a
-    SQL mirror doing the identical double arithmetic; ties break on the
-    lexicographically smallest term.  Term→idf lookup is ``pc.index_in``
-    (exact string hash table, vectorized) — never a trusted 64-bit hash.
-    """
-
-    def __init__(self, store_ref, text_col: str = "text",
-                 id_col: str = "doc_id"):
-        store = ray.get(store_ref)
-        self.vocab, self.df, self.idf = (store["vocab"], store["df"],
-                                         store["idf"])
-        self.text_col, self.id_col = text_col, id_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        it = t.schema.field(self.id_col).type
-        empty = pa.table({self.id_col: pa.array([], it),
-                          "top_term": pa.array([], pa.string()),
-                          "tf": pa.array([], pa.int64()),
-                          "df": pa.array([], pa.int64()),
-                          "score_s": pa.array([], pa.int64())})
-        flat, offs = word_lists(t.column(self.text_col))
-        wcnt = np.diff(offs)
-        d = np.repeat(np.arange(len(wcnt), dtype=np.int64), wcnt)
-        if len(d) == 0:
-            return empty
-        tbl = pa.table({"d": pa.array(d), "t": flat})
-        order = pc.sort_indices(tbl, sort_keys=[("d", "ascending"),
-                                                ("t", "ascending")])
-        ds_ = np.asarray(pc.take(tbl.column("d"), order))
-        ts = pc.take(tbl.column("t"), order).combine_chunks()
-        same = pc.equal(ts.slice(1), ts.slice(0, len(ts) - 1)
-                        ).to_numpy(zero_copy_only=False)
-        first = np.concatenate([[True], (ds_[1:] != ds_[:-1]) | ~same])
-        run_id = np.cumsum(first) - 1
-        tf = np.bincount(run_id).astype(np.int64)
-        run_doc = ds_[first]
-        run_term = ts.filter(pa.array(first))
-        vi = pc.fill_null(
-            pc.cast(pc.index_in(run_term, value_set=self.vocab), pa.int64()),
-            -1).to_numpy(zero_copy_only=False)
-        known = vi >= 0            # min_df-pruned terms score nothing
-        if not known.all():
-            keep = pa.array(known)
-            run_term = run_term.filter(keep)
-            run_doc, tf, vi = run_doc[known], tf[known], vi[known]
-        if len(run_doc) == 0:
-            return empty
-        score_s = np.floor(tf * self.idf[vi] * 1_000_000).astype(np.int64)
-        cand = pa.table({"d": pa.array(run_doc), "s": pa.array(score_s),
-                         "t": run_term, "tf": pa.array(tf),
-                         "df": pa.array(self.df[vi])})
-        o2 = pc.sort_indices(cand, sort_keys=[("d", "ascending"),
-                                              ("s", "descending"),
-                                              ("t", "ascending")])
-        cand = cand.take(o2)
-        dd = cand.column("d").to_numpy(zero_copy_only=False)
-        top = np.concatenate([[True], dd[1:] != dd[:-1]])
-        cand = cand.filter(pa.array(top))
-        return pa.table({
-            self.id_col: t.column(self.id_col).take(cand.column("d")),
-            "top_term": cand.column("t"),
-            "tf": cand.column("tf"),
-            "df": cand.column("df"),
-            "score_s": cand.column("s")})
-
-
-# above this many distinct terms the broadcast vocabulary store stops
-# being a sane per-node allocation (a tail-heavy web vocabulary can reach
-# 10^9 terms); mode="auto" flips tfidf_top_term to the distributed join
-VOCAB_BROADCAST_CEILING = 5_000_000
-
-
 def _term_tf_runs(t: pa.Table, text_col: str, id_col: str) -> pa.Table:
     """Per-batch (id, term, tf) rows — one row per distinct term per doc.
     Valid per batch because a document is one input row, so a block sees
@@ -632,22 +404,23 @@ def _term_tf_runs(t: pa.Table, text_col: str, id_col: str) -> pa.Table:
     })
 
 
-def tfidf_top_join(docs: rd.Dataset, n_docs: int, text_col: str = "text",
+def tfidf_top_term(docs: rd.Dataset, n_docs: int, text_col: str = "text",
                    id_col: str = "doc_id", min_df: int = 1,
-                   df_ds: rd.Dataset | None = None,
                    n_coarse: int = 64) -> rd.Dataset:
-    """Fully distributed per-doc top tf-idf term — the beyond-broadcast-
-    ceiling twin of the ``TfIdfTop`` scan: no vocabulary ever funnels to
-    the driver or broadcasts.  (doc, term, tf) runs stream out of the
-    corpus, meet the df table in one partitioned ``hash_join`` on term,
-    and the per-doc argmax runs inside coarse doc-hash groups (one
-    in-group lexsort + first-mask — never one Ray group per doc).
-    Same output contract as ``TfIdfTop``: score_s = floor(tf·idf·1e6),
-    ties break on the lexicographically smallest term, min_df-pruned
-    terms score nothing."""
+    """Per-doc top tf-idf term, fully distributed: no vocabulary ever
+    funnels to the driver or broadcasts.  (doc, term, tf) runs stream out
+    of the corpus, meet the ``doc_freq`` table in one partitioned
+    ``hash_join`` on term, and the per-doc argmax runs inside coarse
+    doc-hash groups (one in-group lexsort + first-mask — never one Ray
+    group per doc).
+
+    Smoothed ``idf = ln((N+1)/(df+1)) + 1``; scores are floor-scaled to
+    int64 (``score_s = floor(tf·idf·1e6)``) so ranking and output are
+    bit-portable to a SQL mirror doing the identical double arithmetic.
+    Ties break on the lexicographically smallest term; terms with
+    df < ``min_df`` score nothing."""
     from migration_pair_ray.stages.join import hash_join
-    if df_ds is None:
-        df_ds = doc_freq(docs, text_col=text_col)
+    df_ds = doc_freq(docs, text_col=text_col)
     if min_df > 1:
         df_ds = df_ds.map_batches(
             lambda t: t.filter(pc.greater_equal(t.column("df"), min_df)),
@@ -703,124 +476,6 @@ def tfidf_top_join(docs: rd.Dataset, n_docs: int, text_col: str = "text",
 
     return (joined.map_batches(score, batch_format="pyarrow")
             .groupby("__c").map_groups(top1, batch_format="pyarrow"))
-
-
-def build_tfidf_index(docs: rd.Dataset, index_dir: str,
-                      text_col: str = "text", num_buckets: int = 64,
-                      tag: str = "base") -> int:
-    """Persist the corpus vocabulary as a PARTITIONED on-disk store —
-    the round-4 VERDICT ask: no vocabulary funnels through the driver,
-    ever.  Layout mirrors ``build_fingerprint_index``:
-    ``<index_dir>/bucket=<hash(term) % num_buckets>/<tag>.parquet`` with
-    (term, df) rows, written by one Ray group per bucket (atomic
-    tmp+rename — a retried task rewrites identical bytes).  ``_meta.json``
-    commits last and records ``n_docs`` per tag so idf can be recomputed
-    after appends.  Re-running the same ``tag`` overwrites idempotently;
-    a NEW tag appends a corpus increment (df segments SUM per term at
-    read time — df is a join-semilattice under +, same reasoning as the
-    fingerprint appends).  Returns the number of (term, df) rows written.
-    """
-    import json
-    import os
-    import pyarrow.parquet as pq
-    from migration_pair_ray.state.manifest import _atomic_write
-    from migration_pair_ray.stages.partition import hash_strings
-
-    # the bucket count is a LAYOUT property of the index, fixed at first
-    # build: an append under a different modulus would hash its terms
-    # into buckets the reader never scans (silent vocabulary loss) — so
-    # an existing _meta.json's num_buckets always wins, like
-    # exact_dedup_incremental reading its index's recorded layout
-    meta_path = os.path.join(index_dir, "_meta.json")
-    if os.path.exists(meta_path):
-        num_buckets = int(json.loads(open(meta_path).read())["num_buckets"])
-
-    n_docs = docs.count()
-    df = doc_freq(docs, text_col=text_col)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (hash_strings(t.column("term")) % np.uint64(num_buckets)
-             ).astype(np.int32)
-        return t.append_column("__b", pa.array(b))
-
-    def write_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"n": pa.array([], pa.int64())})
-        b = int(g.column("__b")[0].as_py())
-        bdir = os.path.join(index_dir, f"bucket={b}")
-        os.makedirs(bdir, exist_ok=True)
-        path = os.path.join(bdir, f"{tag}.parquet")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        out = g.drop_columns(["__b"]).sort_by([("term", "ascending")])
-        pq.write_table(out, tmp)
-        os.replace(tmp, path)
-        return pa.table({"n": pa.array([out.num_rows], pa.int64())})
-
-    rows = (df.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("__b").map_groups(write_bucket, batch_format="pyarrow")
-            .take_all())
-    total = int(sum(r["n"] for r in rows))
-    meta = {"num_buckets": num_buckets, "tags": {}}
-    if os.path.exists(meta_path):
-        meta = json.loads(open(meta_path).read())
-    meta["tags"][tag] = {"n_docs": int(n_docs), "vocab_rows": total}
-    _atomic_write(meta_path, json.dumps(meta).encode())
-    return total
-
-
-def read_tfidf_index(index_dir: str) -> tuple[rd.Dataset, int]:
-    """(df Dataset summed across committed segments, total n_docs) — the
-    disk-backed input to ``tfidf_top_join``.  Per-term df segments from
-    incremental builds sum in one vocabulary-sized groupby (never on the
-    driver); only tags named in ``_meta.json`` are read, so a crashed
-    build's orphan segment files are invisible."""
-    import json
-    import os
-    from ray.data.aggregate import Sum
-    meta = json.loads(open(os.path.join(index_dir, "_meta.json")).read())
-    tags = meta["tags"]
-    files = [os.path.join(index_dir, f"bucket={b}", f"{t}.parquet")
-             for b in range(int(meta["num_buckets"])) for t in tags
-             if os.path.exists(
-                 os.path.join(index_dir, f"bucket={b}", f"{t}.parquet"))]
-    n_docs = sum(int(v["n_docs"]) for v in tags.values())
-    df = rd.read_parquet(files, file_extensions=None)
-    if len(tags) > 1:
-        df = df.groupby("term").aggregate(Sum("df", alias_name="df"))
-    return df, n_docs
-
-
-def tfidf_top_term(docs: rd.Dataset, n_docs: int, text_col: str = "text",
-                   id_col: str = "doc_id", min_df: int = 1,
-                   concurrency=(2, 8), mode: str = "auto",
-                   vocab_ceiling: int = VOCAB_BROADCAST_CEILING
-                   ) -> rd.Dataset:
-    """Per-doc top tf-idf term.  ``mode``:
-
-    * ``"auto"`` (default): compute df once (materialized), count the
-      vocabulary, and pick "broadcast" at or under ``vocab_ceiling``
-      terms, "join" beyond — the ceiling decision is measured, never
-      assumed (round-4 VERDICT: the driver-funnelled vocab was the one
-      documented broadcast ceiling without an auto-switch).
-    * ``"broadcast"``: distributed df → driver store → ``ray.put`` →
-      streaming scored scan; no shuffle of the corpus at all.
-    * ``"join"``: fully distributed ``tfidf_top_join`` — nothing
-      vocabulary-sized on the driver or any single node."""
-    df_ds = None
-    if mode == "auto":
-        df_ds = doc_freq(docs, text_col=text_col).materialize()
-        mode = "broadcast" if df_ds.count() <= vocab_ceiling else "join"
-    if mode == "join":
-        return tfidf_top_join(docs, n_docs, text_col=text_col,
-                              id_col=id_col, min_df=min_df, df_ds=df_ds)
-    if mode != "broadcast":
-        raise ValueError(f"mode must be 'auto'|'broadcast'|'join', got {mode!r}")
-    store = tfidf_store(docs, n_docs, text_col=text_col, min_df=min_df,
-                        df_ds=df_ds)
-    return docs.map_batches(
-        TfIdfTop, fn_constructor_kwargs=dict(
-            store_ref=store, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", concurrency=concurrency)
 
 
 def linear_gate(ds: "ray.data.Dataset", feature_fn, weights: np.ndarray,

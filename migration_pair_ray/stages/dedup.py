@@ -517,27 +517,6 @@ def _bucket_runs(g: pa.Table):
             yield ids[s:e2]
 
 
-def _collision_pairs(g: pa.Table) -> pa.Table:
-    """Raw bucket-collision pairs inside one coarse Ray group — recall
-    only, no verification (used by consumers that verify by another
-    metric, e.g. exact n-gram Jaccard)."""
-    empty = pa.table({"a": pa.array([], pa.int64()),
-                      "b": pa.array([], pa.int64())})
-    if g.num_rows < 2:
-        return empty
-    rows_a, rows_b = [], []
-    for ids_run in _bucket_runs(g):
-        n = len(ids_run)
-        iu, ju = np.triu_indices(n, 1)
-        a, b = ids_run[iu], ids_run[ju]
-        rows_a.append(np.minimum(a, b))
-        rows_b.append(np.maximum(a, b))
-    if not rows_a:
-        return empty
-    return pa.table({"a": pa.array(np.concatenate(rows_a).astype(np.int64)),
-                     "b": pa.array(np.concatenate(rows_b).astype(np.int64))})
-
-
 def _verified_bucket_pairs(g: pa.Table, sig_ref, threshold: float) -> pa.Table:
     """Group fn: bucket-collision pairs VERIFIED in-group against the
     broadcast signature store — only pairs with estimated Jaccard ≥
@@ -593,121 +572,39 @@ def _collect_sig_store(sketch: "ray.data.Dataset") -> tuple[np.ndarray, np.ndarr
     return ids[order], mat[order]
 
 
-# above this many documents the broadcast signature store (n_docs ×
-# (n_perm+1) × 8 B per node — ~5 GB at 10^7 docs, n_perm=64) stops being
-# a sane per-worker allocation; verify="auto" flips to the fully
-# distributed join path there
-BROADCAST_CEILING_DOCS = 10_000_000
-
-
 def minhash_candidate_pairs(ds: "ray.data.Dataset", threshold: float = 0.8,
-                            n_perm: int = 64, k: int = 5, n_bands: int = 16,
-                            verify: str | bool = "auto",
-                            broadcast_ceiling_docs: int = BROADCAST_CEILING_DOCS
+                            n_perm: int = 64, k: int = 5, n_bands: int = 16
                             ) -> "ray.data.Dataset":
-    """docs(doc_id, text) → candidate pairs (a, b, sim); verified pairs
-    have estimated Jaccard ≥ threshold.
+    """docs(doc_id, text) → verified pairs (a, b, sim) with estimated
+    Jaccard ≥ threshold.
 
     Exchange discipline (the 100-TB shape): signatures are computed ONCE
     per doc (sketch pass, materialized), and the shuffle carries ONLY the
     slim (coarse, band_hash, doc_id) band rows — ~24 B/row, ~22× lighter
     than shipping the n_perm × 8 B signature on every band row.
 
-    ``verify`` selects where the estimate check runs:
-
-    * ``"auto"`` (default): count the materialized sketch (free — it is
-      already pinned) and pick "broadcast" at or under
-      ``broadcast_ceiling_docs``, "join" beyond it — the operator never
-      has to know the corpus size before calling.
-    * ``"broadcast"``: per-doc signatures are broadcast once
-      (``ray.put``) and pairs are verified INSIDE the bucket group, so
-      only true near-dup pairs ever leave a group.  Ceiling: the sig
-      store is n_docs × (n_perm+1) × 8 B on each node (~5 GB at 10^7
-      docs).
-    * ``"join"``: no broadcast — raw collision pairs are deduped by one
-      light groupby and signatures arrive via two ``hash_join``s against
-      the sketch table; fully distributed, the path beyond the broadcast
-      ceiling.
-    * ``False``: raw deduped collision pairs, unverified (sim = 1.0) —
-      for consumers whose precision comes from a different metric
-      (``ngram_jaccard_dedup``'s exact Jaccard).
+    Per-doc signatures are broadcast once (``ray.put``) and pairs are
+    verified INSIDE the bucket group, so only true near-dup pairs ever
+    leave a group.  Limit: the signature store is n_docs × (n_perm+1) ×
+    8 B on each node (~5 GB at 10^7 docs, n_perm=64).
     """
     sketch = (ds.select_columns(["doc_id", "text"]).map_batches(
         _sketch_batch,
         fn_kwargs={"n_perm": n_perm, "k": k, "n_bands": n_bands},
         batch_format="pyarrow")
-        .materialize())    # one sig computation; consumed 2-3 ways below
+        .materialize())    # one sig computation; read twice below
     band_rows = sketch.map_batches(
         lambda t: _explode_band_rows(t, n_bands), batch_format="pyarrow")
-
-    if verify == "auto":
-        verify = ("broadcast" if sketch.count() <= broadcast_ceiling_docs
-                  else "join")
-
-    if verify == "broadcast":
-        sig_ref = ray.put(_collect_sig_store(sketch))
-        return band_rows.groupby("coarse").map_groups(
-            lambda g: _verified_bucket_pairs(g, sig_ref, threshold),
-            batch_format="pyarrow")
-
-    raw = band_rows.groupby("coarse").map_groups(_collision_pairs,
-                                                 batch_format="pyarrow")
-    # cross-band dedup via one light (16 B/row) shuffle — the driver never
-    # holds the raw pair stream
-    uniq = (raw.groupby(["a", "b"]).count()
-            .map_batches(lambda t: pa.table({
-                "a": t.column("a"), "b": t.column("b"),
-                "sim": pa.array(np.ones(t.num_rows), pa.float64())}),
-                batch_format="pyarrow"))
-    if verify is False or verify is None:
-        return uniq
-
-    if verify != "join":
-        raise ValueError(f"verify must be 'broadcast' | 'join' | False, got {verify!r}")
-    from migration_pair_ray.stages.join import hash_join
-
-    def _sig_side(key: str, out: str):
-        # Acero joins reject list payload columns — pack the signature as
-        # fixed-size binary (n_perm × 8 B), bit-identical round trip
-        def pack(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            flat = np.asarray(t.column("sig").combine_chunks().flatten(),
-                              dtype=np.int64).reshape(n, -1)
-            return pa.table({
-                key: t.column("doc_id"),
-                out: pa.array([r.tobytes() for r in flat],
-                              pa.binary(flat.shape[1] * 8)),
-            })
-        return sketch.map_batches(pack, batch_format="pyarrow")
-
-    joined = hash_join(hash_join(uniq, _sig_side("a", "sig_a"), on="a"),
-                       _sig_side("b", "sig_b"), on="b")
-
-    def _unpack(col) -> np.ndarray:
-        b = b"".join(col.combine_chunks().to_pylist())
-        return np.frombuffer(b, dtype=np.int64).reshape(len(col), -1)
-
-    def estimate(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _pairs_table([], [], [])
-        sa = _unpack(batch.column("sig_a"))
-        sb = _unpack(batch.column("sig_b"))
-        est = (sa == sb).mean(axis=1)
-        out = pa.table({"a": batch.column("a"), "b": batch.column("b"),
-                        "sim": pa.array(est.astype(np.float64))})
-        return out.filter(pa.compute.greater_equal(out.column("sim"), threshold))
-
-    return joined.map_batches(estimate, batch_format="pyarrow")
+    sig_ref = ray.put(_collect_sig_store(sketch))
+    return band_rows.groupby("coarse").map_groups(
+        lambda g: _verified_bucket_pairs(g, sig_ref, threshold),
+        batch_format="pyarrow")
 
 
 def minhash_lsh_dedup(ds: "ray.data.Dataset", threshold: float = 0.8,
-                      n_perm: int = 64, k: int = 5, n_bands: int = 16,
-                      verify: str = "auto",
-                      broadcast_ceiling_docs: int = BROADCAST_CEILING_DOCS
+                      n_perm: int = 64, k: int = 5, n_bands: int = 16
                       ) -> "ray.data.Dataset":
-    pairs = minhash_candidate_pairs(ds, threshold, n_perm, k, n_bands,
-                                    verify=verify,
-                                    broadcast_ceiling_docs=broadcast_ceiling_docs)
+    pairs = minhash_candidate_pairs(ds, threshold, n_perm, k, n_bands)
     clusters = connected_components(pairs)
     return drop_cluster_losers(ds, clusters)
 
@@ -820,8 +717,7 @@ def ngram_jaccard_pairs(ds: "ray.data.Dataset", threshold: float = 0.8,
     # but never ABOVE it — that would silently drop genuine candidates
     prefilter = max(0.0, threshold - 2.0 / np.sqrt(n_perm))
     pairs = minhash_candidate_pairs(ds, threshold=prefilter,
-                                    n_perm=n_perm, k=n, n_bands=n_bands,
-                                    verify="broadcast")
+                                    n_perm=n_perm, k=n, n_bands=n_bands)
     cand_rows = pairs.select_columns(["a", "b"]).take_all()
     if cand_rows:
         ab = np.unique(np.array([[r["a"], r["b"]] for r in cand_rows],

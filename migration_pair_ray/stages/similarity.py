@@ -8,7 +8,8 @@
   (= bucket); queries probe only ``n_probe`` buckets, so a 10^10-row
   corpus reads a fraction of its blocks per query.
 * ``embedding_dedup`` — cosine near-dup: random-hyperplane LSH bucket key,
-  within-bucket pairwise cosine, connected components, keep min id.
+  vectors shipped in the bucket rows, within-bucket pairwise cosine,
+  connected components, keep min id.
 """
 
 from __future__ import annotations
@@ -141,6 +142,17 @@ def ivf_topk(ds: "ray.data.Dataset", queries: np.ndarray, k: int = 10,
                             id_col=id_col, round_to=round_to)
 
 
+def _clear_buckets(index_dir: str) -> None:
+    """Remove every ``bucket=*`` directory of a bucketed index, so a
+    rebuild into the same ``index_dir`` leaves no file of the old corpus
+    for a probe to read."""
+    import glob
+    import os
+    import shutil
+    for d in glob.glob(os.path.join(index_dir, "bucket=*")):
+        shutil.rmtree(d)
+
+
 def ivf_build(ds: "ray.data.Dataset", index_dir: str, n_clusters: int = 16,
               sample_size: int = 2048, vec_col: str = "embedding",
               id_col: str = "vec_id", seed: int = 11) -> np.ndarray:
@@ -149,11 +161,13 @@ def ivf_build(ds: "ray.data.Dataset", index_dir: str, n_clusters: int = 16,
     saved alongside.  This is the scale path ``ivf_topk``'s docstring
     promises: probing reads only the probed buckets' FILES — at 10^10 rows
     a query touches ~n_probe/n_clusters of the data instead of scanning
-    everything and filtering."""
+    everything and filtering.  A rebuild into an existing ``index_dir``
+    replaces the old buckets."""
     import os
     sample = [r[vec_col] for r in ds.take(sample_size)]
     cent = kmeans_centroids(np.asarray(sample), n_clusters, seed=seed)
     ref = ray.put(cent)
+    _clear_buckets(index_dir)
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(ref)
@@ -226,18 +240,10 @@ def _unpack_f32(col) -> np.ndarray:
     return a[off: off + len(ca) * (width // 4)].reshape(len(ca), width // 4)
 
 
-# broadcast vector stores above this many BYTES (n_docs × dim × 4) flip
-# embedding_dedup's verify="auto" to the vectors-on-the-wire shuffle path
-EMBED_BROADCAST_CEILING_BYTES = 4 << 30
-
-
 def embedding_dedup(ds: "ray.data.Dataset", threshold: float = 0.98,
                     n_planes: int = 12, n_tables: int = 4,
                     vec_col: str = "embedding", id_col: str = "vec_id",
-                    seed: int = 5, n_coarse: int = 64,
-                    verify: str = "auto",
-                    broadcast_ceiling_bytes: int = EMBED_BROADCAST_CEILING_BYTES
-                    ) -> "ray.data.Dataset":
+                    seed: int = 5, n_coarse: int = 64) -> "ray.data.Dataset":
     """Cosine near-duplicate removal: multi-table random-hyperplane LSH.
 
     ``n_tables`` independent tables of ``n_planes`` hyperplanes each
@@ -247,18 +253,10 @@ def embedding_dedup(ds: "ray.data.Dataset", threshold: float = 0.98,
     n_planes = 12, n_tables = 4 that is > 0.998, while random pairs
     (c ≈ 0) land together with p ≈ 2^-12 per table, keeping buckets small.
 
-    ``verify`` picks where bucket members' vectors come from:
-
-    * ``"auto"`` (default): estimate the store (row count × dim × 4 B —
-      one ``take(1)`` + ``count``) and pick "broadcast" at or under
-      ``broadcast_ceiling_bytes``, "shuffle" beyond.
-    * ``"broadcast"``: the shuffle carries ONLY (coarse, bucket, doc_id)
-      rows (~20 B each) — vectors are broadcast once as (sorted ids,
-      normalized matrix) flat numpy buffers (``ray.put`` → zero-copy map
-      on every node; the same broadcast regime as the minhash sig store).
-    * ``"shuffle"``: no broadcast — each bucket row carries its vector as
-      ``fixed_size_binary(dim*4)`` (n_tables copies per doc on the wire,
-      dim×4 B each); fully distributed, the path beyond the ceiling.
+    No broadcast: each bucket row carries its normalized vector as
+    ``fixed_size_binary(dim*4)`` (n_tables copies per doc on the wire,
+    dim×4 B each), so the verify needs nothing beyond its own group and
+    the operator never counts or collects the caller's pipeline.
 
     Ray groups are ``n_coarse`` COARSE buckets (not one per fine bucket —
     per-group dispatch pitfall); inside a group, fine-bucket runs are
@@ -271,51 +269,6 @@ def embedding_dedup(ds: "ray.data.Dataset", threshold: float = 0.98,
         _BUCKET_CAP, connected_components, drop_cluster_losers)
 
     golden = np.int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
-
-    if verify == "auto":
-        # estimate rows × dim × 4 B.  dim comes from the schema when the
-        # column is fixed-size (free); otherwise one take(1).  count()
-        # is metadata-cheap on file-backed datasets but EXECUTES a
-        # computed pipeline once — callers with an expensive upstream
-        # should pass verify explicitly (or materialize first).
-        dim0 = None
-        try:
-            ft = dict(zip(ds.schema().names, ds.schema().types))[vec_col]
-            if isinstance(ft, pa.DataType) and pa.types.is_fixed_size_list(ft):
-                dim0 = ft.list_size
-        except Exception:
-            pass
-        if dim0 is None:
-            first = ds.take(1)
-            dim0 = len(first[0][vec_col]) if first else 0
-        est = ds.count() * dim0 * 4
-        verify = ("broadcast" if est <= broadcast_ceiling_bytes
-                  else "shuffle")
-    if verify not in ("broadcast", "shuffle"):
-        raise ValueError(
-            f"verify must be 'auto'|'broadcast'|'shuffle', got {verify!r}")
-
-    store_ref = None
-    if verify == "broadcast":
-        # one vector pass: collect the normalized matrix driver-side via
-        # zero-copy block iteration, broadcast once
-        ids_parts, vec_parts = [], []
-        for batch in ds.select_columns([id_col, vec_col]).iter_batches(
-                batch_size=None, batch_format="pyarrow"):
-            if batch.num_rows == 0:
-                continue
-            ids_parts.append(
-                batch.column(id_col).to_numpy(zero_copy_only=False)
-                .astype(np.int64))
-            vec_parts.append(_l2_normalize(_batch_matrix(batch, vec_col)))
-        if not ids_parts:
-            return ds
-        all_ids = np.concatenate(ids_parts)
-        all_vecs = np.concatenate(vec_parts)
-        order = np.argsort(all_ids)
-        store_ref = ray.put((all_ids[order], all_vecs[order]))
-
-    carry_vecs = verify == "shuffle"
 
     def bucketize(batch: pa.Table) -> pa.Table:
         m = _l2_normalize(_batch_matrix(batch, vec_col))
@@ -330,14 +283,12 @@ def embedding_dedup(ds: "ray.data.Dataset", threshold: float = 0.98,
         flat_keys = keys.reshape(-1)
         with np.errstate(over="ignore"):
             coarse = ((flat_keys * golden) % n_coarse).astype(np.int32)
-        cols = {
+        return pa.table({
             "bucket": pa.array(flat_keys),
             "coarse": pa.array(np.abs(coarse)),
             "doc_id": pa.array(np.tile(ids, n_tables)),
-        }
-        if carry_vecs:
-            cols["vecb"] = _pack_f32(np.tile(m, (n_tables, 1)))
-        return pa.table(cols)
+            "vecb": _pack_f32(np.tile(m, (n_tables, 1))),
+        })
 
     cand = ds.map_batches(bucketize, batch_format="pyarrow")
 
@@ -351,12 +302,7 @@ def embedding_dedup(ds: "ray.data.Dataset", threshold: float = 0.98,
         ids = g.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, buckets))
         buckets, ids = buckets[order], ids[order]
-        if carry_vecs:
-            group_vecs = _unpack_f32(g.column("vecb"))[order]
-            store_ids = store_vecs = None
-        else:
-            store_ids, store_vecs = ray.get(store_ref)  # zero-copy plasma
-            group_vecs = None
+        group_vecs = _unpack_f32(g.column("vecb"))[order]
         starts = np.flatnonzero(
             np.concatenate([[True], buckets[1:] != buckets[:-1]]))
         ends = np.concatenate([starts[1:], [len(buckets)]])
@@ -365,10 +311,7 @@ def embedding_dedup(ds: "ray.data.Dataset", threshold: float = 0.98,
             k = e - s
             if k < 2 or k > _BUCKET_CAP:     # degenerate bucket: no signal
                 continue
-            if carry_vecs:
-                sub = group_vecs[s:e]
-            else:
-                sub = store_vecs[np.searchsorted(store_ids, ids[s:e])]
+            sub = group_vecs[s:e]
             cos = sub @ sub.T                # one matmul per fine bucket
             iu, ju = np.triu_indices(k, 1)
             cv = cos[iu, ju]
@@ -520,7 +463,7 @@ class _HNSW:
         for lyr in range(min(level, self.max_level), -1, -1):
             cand = self._search_layer(vec, ep, self.ef_c, lyr)
             mmax = self.m0 if lyr == 0 else self.m
-            chosen = [n for _, n in cand[:self.m]]
+            chosen = [n for _, n in cand[:mmax]]
             self.neighbors[node][lyr] = list(chosen)
             for nb in chosen:
                 lst = self.neighbors[nb][lyr]
@@ -675,17 +618,21 @@ def hnsw_build(ds: "ray.data.Dataset", index_dir: str, n_clusters: int = 8,
     graph file per bucket, built by one Ray task per bucket (insertion
     order = ascending id → deterministic bytes; atomic tmp+rename).
     Crash-visibility follows the repo's index discipline
-    (build_fingerprint_index / build_gram_index): ``_meta.json`` — which
+    (build_fingerprint_index / build_minhash_index): ``_meta.json`` — which
     also records the m/ef_construction the graphs were built with, so
     appends into fresh buckets use the SAME parameters — commits LAST; a
     killed build leaves no meta and probe/append refuse instead of
-    silently serving an index with missing buckets.  Returns total
-    vectors indexed."""
+    silently serving an index with missing buckets.  A rebuild into an
+    existing ``index_dir`` first withdraws the old meta, then removes the
+    old buckets.  Returns total vectors indexed."""
     import json
     import os
     from migration_pair_ray.state.manifest import _atomic_write
     sample = [r[vec_col] for r in ds.take(sample_size)]
     cent = kmeans_centroids(np.asarray(sample), n_clusters, seed=seed)
+    if os.path.exists(_hnsw_meta_path(index_dir)):
+        os.remove(_hnsw_meta_path(index_dir))
+    _clear_buckets(index_dir)
     os.makedirs(index_dir, exist_ok=True)
     ref = ray.put(cent)
 

@@ -284,102 +284,77 @@ def test_bigram_typicality_exact(tmp_path):
     assert got == want
 
 
-def test_tfidf_join_equals_broadcast_and_auto_flips(tmp_path):
-    """The fully distributed join scorer (the beyond-vocab-ceiling path)
-    must match the broadcast scan row for row; mode='auto' with a tiny
-    ceiling forces it, the default keeps broadcast; the on-disk
-    partitioned vocabulary index (no driver funnel) feeds the join path
-    and incremental appends SUM df per term."""
-    from migration_pair_ray.stages.curation import (build_tfidf_index,
-                                                    read_tfidf_index,
-                                                    tfidf_top_join,
-                                                    tfidf_top_term)
+@pytest.mark.usefixtures("ray_session")
+def test_tfidf_top_term_matches_pandas():
+    """Every output column, including tf, against a pandas tf-idf written
+    from the contract: lowercase tokens split on [^a-z0-9]+, smoothed
+    idf = ln((N+1)/(df+1)) + 1, score_s = floor(tf·idf·1e6), top term by
+    score then smallest term; a doc without tokens emits no row."""
+    import re
+    from migration_pair_ray.stages.curation import tfidf_top_term
+    docs = pd.read_parquet(f"{SF}/documents.parquet",
+                           columns=["doc_id", "text"])
+    n = len(docs)
+    tok = pd.DataFrame(
+        [(d, w) for d, t in zip(docs["doc_id"], docs["text"])
+         for w in re.split(r"[^a-z0-9]+", (t or "").lower()) if w],
+        columns=["doc_id", "term"])
+    tf = tok.groupby(["doc_id", "term"]).size().rename("tf").reset_index()
+    tf["df"] = tf.groupby("term")["doc_id"].transform("size")
+    idf = np.log((n + 1.0) / (tf["df"].to_numpy() + 1.0)) + 1.0
+    tf["score_s"] = np.floor(tf["tf"].to_numpy() * idf * 1_000_000
+                             ).astype(np.int64)
+    want = (tf.sort_values(["doc_id", "score_s", "term"],
+                           ascending=[True, False, True])
+            .drop_duplicates("doc_id")
+            .rename(columns={"term": "top_term"})
+            [["doc_id", "top_term", "tf", "df", "score_s"]]
+            .reset_index(drop=True))
+
     ds = rd.read_parquet(f"{SF}/documents.parquet",
                          columns=["doc_id", "text"])
-    n = ds.count()
-
-    def norm(d):
-        return (d.sort_values("doc_id").reset_index(drop=True)
-                [["doc_id", "top_term", "tf", "df", "score_s"]])
-
-    want = norm(tfidf_top_term(ds, n, mode="broadcast").to_pandas())
-    got_join = norm(tfidf_top_join(ds, n).to_pandas())
-    pd.testing.assert_frame_equal(got_join, want, check_dtype=False)
-    got_auto = norm(tfidf_top_term(ds, n, mode="auto",
-                                   vocab_ceiling=1).to_pandas())
-    pd.testing.assert_frame_equal(got_auto, want, check_dtype=False)
-
-    # disk store: build → read → join path gives the same answer
-    idx = str(tmp_path / "tfidf_idx")
-    vocab_rows = build_tfidf_index(ds, idx)
-    assert vocab_rows > 0
-    df_ds, n_docs = read_tfidf_index(idx)
-    assert n_docs == n
-    got_disk = norm(tfidf_top_join(ds, n_docs, df_ds=df_ds).to_pandas())
-    pd.testing.assert_frame_equal(got_disk, want, check_dtype=False)
-
-    # incremental: indexing the corpus again under a new tag doubles
-    # every df and n_docs — segments sum at read time, idempotently.
-    # A conflicting num_buckets on the append is IGNORED in favor of the
-    # index's recorded layout (a different modulus would hash the new
-    # terms into buckets the reader never scans)
-    build_tfidf_index(ds, idx, tag="batch2", num_buckets=128)
-    df2, n2 = read_tfidf_index(idx)
-    assert n2 == 2 * n
-    d1 = df_ds.to_pandas().set_index("term")["df"]
-    d2 = df2.to_pandas().set_index("term")["df"]
-    assert (d2.sort_index() == 2 * d1.sort_index()).all()
+    got = (tfidf_top_term(ds, n).to_pandas().sort_values("doc_id")
+           .reset_index(drop=True)[want.columns])
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_tfidf_join_min_df_and_string_ids():
-    """min_df pruning and non-integer doc ids take the join path's other
+    """min_df pruning and non-integer doc ids take the join scorer's other
     branches (string-hash coarse buckets; pruned terms score nothing)."""
-    from migration_pair_ray.stages.curation import tfidf_top_join
+    from migration_pair_ray.stages.curation import tfidf_top_term
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array(["d1", "d2", "d3"], pa.string()),
         "text": ["common rare1", "common rare2", "common common"]}))
-    out = (tfidf_top_join(docs, 3, min_df=2).to_pandas()
+    out = (tfidf_top_term(docs, 3, min_df=2).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
     assert out["top_term"].tolist() == ["common", "common", "common"]
     assert out["df"].tolist() == [3, 3, 3]
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_decontaminate_join_equals_broadcast(tmp_path):
-    """The distributed join scrubber (the beyond-broadcast gram-store
-    path) must agree with the broadcast semi-join on planted overlaps,
-    distinct-gram counting, and clean docs — fed either from a fresh
-    bench distillation or from the on-disk partitioned gram index."""
-    from migration_pair_ray.stages.curation import (build_gram_index,
-                                                    decontaminate_join,
-                                                    read_gram_index)
+def test_decontaminate_distinct_hits_and_passthrough():
+    """Planted overlap, a broken window, a clean doc and a doc repeating
+    two distinct bench 4-grams give n_hit [1, 0, 0, 2]; passthrough
+    appends the flags to the input columns unchanged."""
     bench = rd.from_arrow(pa.table({
         "doc_id": [1000, 1001],
         "text": ["alpha beta gamma delta", "a b c d e"]}))
-    corpus = rd.from_arrow(pa.table({
-        "doc_id": [1, 2, 3, 4],
-        "text": ["zz alpha beta gamma delta yy",
-                 "alpha beta gamma q delta",
-                 "totally unrelated words here",
-                 "a b c d e a b c d e"]}))
+    texts = ["zz alpha beta gamma delta yy",
+             "alpha beta gamma q delta",
+             "totally unrelated words here",
+             "a b c d e a b c d e"]
+    corpus = rd.from_arrow(pa.table({"doc_id": [1, 2, 3, 4], "text": texts}))
 
     def norm(ds):
         return (ds.to_pandas().sort_values("doc_id")
                 .reset_index(drop=True))
 
-    want = norm(decontaminate(corpus, bench, n=4))
-    got = norm(decontaminate_join(corpus, bench, n=4))
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    got = norm(decontaminate(corpus, bench, n=4))
+    assert list(got.columns) == ["doc_id", "n_hit", "contaminated"]
     assert got["n_hit"].tolist() == [1, 0, 0, 2]   # doc 4: 2 distinct 4-grams
+    assert got["contaminated"].tolist() == [True, False, False, True]
 
-    idx = str(tmp_path / "gram_idx")
-    distinct = build_gram_index(bench, idx, n=4)
-    assert distinct > 0
-    gram_ds, n = read_gram_index(idx)
-    assert n == 4
-    got_disk = norm(decontaminate_join(corpus, n=n, gram_ds=gram_ds))
-    pd.testing.assert_frame_equal(got_disk, want, check_dtype=False)
-
-    # passthrough keeps input columns on the join path too
-    pt = norm(decontaminate_join(corpus, bench, n=4, passthrough=True))
-    assert set(pt.columns) == {"doc_id", "text", "n_hit", "contaminated"}
+    pt = norm(decontaminate(corpus, bench, n=4, passthrough=True))
+    assert list(pt.columns) == ["doc_id", "text", "n_hit", "contaminated"]
+    assert pt["text"].tolist() == texts
+    pd.testing.assert_frame_equal(pt.drop(columns="text"), got)

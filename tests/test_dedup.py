@@ -163,36 +163,42 @@ def test_distributed_components_equal_union_find():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_minhash_join_verify_equals_broadcast_verify():
-    """The fully-distributed hash-join verify path (the beyond-broadcast-
-    ceiling regime) must produce the same verified pair set as the
-    broadcast in-group verify."""
+def test_minhash_pairs_equal_brute_force_banded_estimate():
+    """The distributed LSH exchange + in-group verify must emit exactly
+    the pairs a brute-force O(n²) pass finds: share at least one band
+    bucket AND estimated Jaccard ≥ threshold, with the same estimate.
+    Survivors are the min ids of that pair set's components."""
+    from migration_pair_ray.functions.hashing import band_hashes
     from migration_pair_ray.stages.dedup import minhash_candidate_pairs
 
     df = corpus()
-    ds = ray.data.from_pandas(df)
+    ids = df["doc_id"].to_numpy()
+    sigs = MinHasher(n_perm=64, k=5).signatures(df["text"].tolist())
+    bands = band_hashes(sigs, 16)
+    row = {t: i for i, t in enumerate(df["text"])}
 
-    def pairset(verify):
-        rows = minhash_candidate_pairs(
-            ray.data.from_pandas(df), threshold=0.7, verify=verify).take_all()
-        return {(r["a"], r["b"]) for r in rows}
+    def banded_estimate(ta, tb):
+        i, j = row[ta], row[tb]
+        if not (bands[i] == bands[j]).any():
+            return 0.0
+        return float((sigs[i] == sigs[j]).mean())
 
-    assert pairset("join") == pairset("broadcast")
-    # and survivors agree end to end
-    b = sorted(minhash_lsh_dedup(ds, threshold=0.7).to_pandas()["doc_id"])
-    j = sorted(minhash_lsh_dedup(ray.data.from_pandas(df), threshold=0.7,
-                                 verify="join").to_pandas()["doc_id"])
-    assert b == j
-    # verify="auto" flips on the sketch count: a tiny ceiling forces the
-    # distributed join path, the default keeps broadcast — survivors are
-    # identical either way (the operator never picks a mode by hand)
-    auto_small = sorted(minhash_lsh_dedup(
-        ray.data.from_pandas(df), threshold=0.7, verify="auto",
-        broadcast_ceiling_docs=1).to_pandas()["doc_id"])
-    auto_big = sorted(minhash_lsh_dedup(
-        ray.data.from_pandas(df), threshold=0.7,
-        verify="auto").to_pandas()["doc_id"])
-    assert auto_small == auto_big == b
+    want = {}
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            est = banded_estimate(df["text"][i], df["text"][j])
+            if est >= 0.7:
+                want[(min(ids[i], ids[j]), max(ids[i], ids[j]))] = est
+    assert len(want) >= 10     # planted groups make pairs
+
+    rows = minhash_candidate_pairs(ray.data.from_pandas(df),
+                                   threshold=0.7).take_all()
+    assert {(r["a"], r["b"]): r["sim"] for r in rows} == pytest.approx(want)
+
+    survivors = sorted(minhash_lsh_dedup(ray.data.from_pandas(df),
+                                         threshold=0.7)
+                       .to_pandas()["doc_id"])
+    assert survivors == union_find_oracle(df, banded_estimate, 0.7)
 
 
 @pytest.mark.usefixtures("ray_session")

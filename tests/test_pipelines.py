@@ -122,9 +122,8 @@ def test_cdc_changefeed_classification(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
     from migration_pair_ray.config import JobConfig
-    from migration_pair_ray.pipelines.replay import final_state, replay
-    from migration_pair_ray.pipelines.queries import cdc_changefeed  # noqa: F401  (import parity)
-    from migration_pair_ray.stages.join import hash_join
+    from migration_pair_ray.pipelines.feed import diff_lakes
+    from migration_pair_ray.pipelines.replay import replay
 
     def write_log(d, rows, name):
         os.makedirs(d, exist_ok=True)
@@ -158,27 +157,15 @@ def test_cdc_changefeed_classification(tmp_path):
                       lake_dir=str(tmp_path / "lake_b"), num_partitions=4)
     replay(cfg_a), replay(cfg_b)
 
-    # reuse the query's classify path by diffing the two states the same
-    # way cdc_changefeed does (presence markers + null-safe compare)
-    import numpy as np
-    import pyarrow.compute as pc
-
-    def mark(t, prefix):
-        return pa.table({
-            "conv_id": t.column("conv_id"),
-            "turn_idx": t.column("turn_idx"),
-            f"{prefix}_text": t.column("text"),
-            f"__{prefix}": pa.array(np.ones(t.num_rows, np.int8))})
-
-    a = final_state(cfg_a, sort=False).map_batches(
-        lambda t: mark(t, "before"), batch_format="pyarrow")
-    b = final_state(cfg_b, sort=False).map_batches(
-        lambda t: mark(t, "after"), batch_format="pyarrow")
-    j = hash_join(a, b, on=["conv_id", "turn_idx"], how="outer").to_pandas()
-    j = j.set_index("conv_id")
-    assert j.loc["a"][["__before", "__after"]].notna().all()
-    assert j.loc["a", "before_text"] == j.loc["a", "after_text"] == "stable"
-    assert pd.isna(j.loc["c", "__after"])     # deleted after checkpoint
-    assert pd.isna(j.loc["d", "__before"])    # inserted after checkpoint
-    assert j.loc["b", "before_text"] == "will-update"
-    assert j.loc["b", "after_text"] == "updated"
+    # the diff cdc_changefeed emits, on the same hand-built log
+    got = diff_lakes(cfg_a, cfg_b).to_pandas().set_index("conv_id")
+    assert sorted(got.index) == ["b", "c", "d"]      # "a" emits nothing
+    assert got.loc["b", "change"] == "update"
+    assert got.loc["b", "before_text"] == "will-update"
+    assert got.loc["b", "after_text"] == "updated"
+    assert got.loc["c", "change"] == "delete"        # deleted after checkpoint
+    assert got.loc["c", "before_text"] == "will-delete"
+    assert pd.isna(got.loc["c", "after_text"])
+    assert got.loc["d", "change"] == "insert"        # inserted after checkpoint
+    assert pd.isna(got.loc["d", "before_text"])
+    assert got.loc["d", "after_text"] == "fresh"

@@ -286,31 +286,36 @@ def test_hnsw_append_matches_full_build_recall(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_embedding_dedup_shuffle_equals_broadcast():
-    """The vectors-on-the-wire shuffle path (beyond the broadcast store
-    ceiling) must keep exactly the same survivors as the broadcast path,
-    and verify='auto' must flip between them on the ceiling."""
+def test_embedding_dedup_matches_exact_cosine_oracle():
+    """Every 10th vector is planted again under a shifted id.  Survivors
+    must equal an exact O(n²) cosine oracle (pairs at ≥ threshold,
+    components, min id kept): every planted copy dropped, its original
+    kept, and no natural pair merged."""
     from migration_pair_ray.stages.similarity import embedding_dedup
     emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
-    # plant exact copies so clusters exist (same trick as the planted-
-    # copies test): every 10th vector duplicated under a shifted id
     dup = emb[emb["vec_id"] % 10 == 0].copy()
     dup["vec_id"] = dup["vec_id"] + 100000
     both = pd.concat([emb, dup], ignore_index=True)
 
-    def survivors(**kw):
-        ds = ray.data.from_pandas(both)
-        out = embedding_dedup(ds, threshold=0.995, **kw)
-        return sorted(out.to_pandas()["vec_id"].tolist())
+    m = np.stack(both["embedding"].to_numpy()).astype(np.float32)
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    ids = both["vec_id"].to_numpy()
+    iu, ju = np.nonzero(np.triu(m @ m.T, 1) >= 0.995)
+    parent = {int(i): int(i) for i in ids}
 
-    b = survivors(verify="broadcast")
-    s = survivors(verify="shuffle")
-    assert b == s
-    auto_small = survivors(verify="auto", broadcast_ceiling_bytes=1)
-    auto_big = survivors(verify="auto")
-    assert auto_small == auto_big == b
-    # the planted copies were dropped (min-id survives)
-    assert not any(v >= 100000 for v in b)
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for i, j in zip(iu, ju):
+        ra, rb = find(int(ids[i])), find(int(ids[j]))
+        parent[max(ra, rb)] = min(ra, rb)
+    want = sorted(i for i in parent if find(i) == i)
+
+    got = sorted(embedding_dedup(ray.data.from_pandas(both), threshold=0.995)
+                 .to_pandas()["vec_id"].tolist())
+    assert got == want
+    assert got == sorted(emb["vec_id"].tolist())   # copies out, min id in
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -374,3 +379,56 @@ def test_hnsw_crashed_build_is_invisible(tmp_path):
     assert meta["m"] == 8 and meta["ef_construction"] == 40
     assert hnsw_append(ray.data.from_pandas(
         emb.tail(50).reset_index(drop=True)), idx) == 50
+
+
+def test_hnsw_layer0_fanout_uses_m0():
+    """A node links to up to m0 = 2m neighbours on layer 0 and up to m on
+    the layers above.  With m=2 and a beam wider than the graph, the last
+    node inserted sees every earlier node as a candidate, so its own
+    layer-0 list (no later insert can prune it) holds exactly m0."""
+    from migration_pair_ray.stages.similarity import _HNSW
+    rng = np.random.default_rng(3)
+    vecs = rng.standard_normal((40, 8)).astype(np.float32)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    g = _HNSW(8, m=2, ef_construction=64, seed=1)
+    for i, v in enumerate(vecs):
+        g.add(v, i)
+    assert g.m0 == 4
+    assert len(g.neighbors[-1][0]) == g.m0
+    for layer0, *upper in g.neighbors:
+        assert len(layer0) <= g.m0
+        assert all(len(lst) <= g.m for lst in upper)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("kind", ["ivf", "hnsw"])
+def test_index_rebuild_drops_old_buckets(tmp_path, kind):
+    """Rebuilding an index into the same directory replaces it: no bucket
+    file of the old corpus may survive to be probed.  The new corpus is
+    one repeated vector, so it fills bucket 0 of its 2 clusters and leaves
+    bucket 1 empty; every probed bucket must hold new ids only."""
+    import os
+    from migration_pair_ray.stages.similarity import (hnsw_build, hnsw_probe,
+                                                      ivf_build, ivf_probe)
+    old = pq.read_table(f"{SF}/embeddings.parquet").to_pandas().head(200)
+    dim = len(old["embedding"].iloc[0])
+    one = np.zeros(dim, np.float32)
+    one[0] = 1.0
+    new = pd.DataFrame({"vec_id": np.arange(50, dtype=np.int64) + 100_000,
+                        "embedding": [one] * 50})
+    idx = str(tmp_path / kind)
+    if kind == "ivf":
+        ivf_build(ray.data.from_pandas(old), idx, n_clusters=8)
+        ivf_build(ray.data.from_pandas(new), idx, n_clusters=2)
+        got = ivf_probe(idx, one[None, :], k=60, n_probe=2)
+    else:
+        hnsw_build(ray.data.from_pandas(old), idx, n_clusters=8, m=4,
+                   ef_construction=16)
+        hnsw_build(ray.data.from_pandas(new), idx, n_clusters=2, m=4,
+                   ef_construction=16)
+        got = hnsw_probe(idx, one[None, :], k=60, n_probe=2,
+                         ef_search=256)
+    ids = got.column("vec_id").to_pylist()
+    assert sorted(ids) == new["vec_id"].tolist()
+    buckets = sorted(d for d in os.listdir(idx) if d.startswith("bucket="))
+    assert buckets == ["bucket=0"]
