@@ -14,8 +14,13 @@ must own it explicitly.
 
 Driver-side by design: a point lookup is a latency path, not a throughput
 job — shipping it through a Dataset would add scheduling overhead to read
-three files.  Bulk key-set extraction (10^6+ keys) is a different op: use
-``read_lake`` + a broadcast-set filter.
+three files.  ``fetch_conversations`` returns a Dataset of whole
+conversations from the same plan and picks its executor like
+``read_lake`` does (``replay.read_in_driver`` over the planned footer
+bytes): a plan within Ray Data's block target is read in the driver into
+one block, a larger one runs one Ray task per planned partition.  Bulk
+key-set extraction (10^6+ keys) is a different op: use ``read_lake`` + a
+broadcast-set filter.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ def candidate_files_by_pid(cfg: JobConfig, conv_ids: list[str],
                            turn_idx: list[int] | None = None
                            ) -> dict[int, list[str]]:
     """``candidate_files`` grouped by partition — the per-partition plan
-    ``fetch_conversations`` fans out over (one task per pid).  Within a
+    ``fetch_conversations`` fans out over (one read per pid).  Within a
     pid the list holds EVERY file whose range/bloom covers a requested
     conv (base, chunks AND MoR deltas), so a per-pid kernel fold sees each
     key's complete row set — the ``finalize_visible`` precondition."""
@@ -254,25 +259,30 @@ def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
 
 def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
                         visible_only: bool = True) -> "object":
-    """Bulk conversation fetch: the DISTRIBUTED sibling of ``lookup_keys``
-    — returns a ``ray.data.Dataset`` of the requested conversations'
+    """Bulk conversation fetch: the Dataset sibling of ``lookup_keys`` —
+    returns a ``ray.data.Dataset`` of the requested conversations'
     visible rows, reading only the partitions/chunks the routing plan
-    names (``candidate_files_by_pid``).
+    names (``candidate_plan``).
 
     The middle ground the module docstring promises: point lookups stay
     driver-side (latency path), full extractions use ``read_lake`` — a
-    10^3–10^6-conversation fetch wants BOTH pruning and parallelism, so
-    each planned partition becomes one Ray task that reads its pruned
-    files, folds winners per kernel, and filters to the conv set.  Under
-    mode "conv"/"hot" (cold convs) the plan touches only the routed
-    partitions — and each task receives only ITS convs, not the full
+    10^3–10^6-conversation fetch wants BOTH pruning and parallelism.  Each
+    planned partition is one ``_fetch_pid_table`` call that reads its
+    pruned files, folds winners per kernel, and filters to the conv set.
+    Under mode "conv"/"hot" (cold convs) the plan touches only the routed
+    partitions — and each call receives only ITS convs, not the full
     request; salted layouts fan out to all partitions but still prune
-    chunks by key range + bloom.  Raw Ray tasks by design: a
-    manifest-planned per-partition read is not expressible as a Dataset
-    source without materializing the plan anyway."""
+    chunks by key range + bloom.
+
+    Two executors, chosen like ``read_lake``'s by
+    ``replay.read_in_driver`` over the planned files' footer bytes: a
+    plan within Ray Data's block target runs every partition in the
+    driver and returns one ``from_arrow`` block; a larger plan runs one
+    Ray task per partition (``from_arrow_refs``)."""
     import ray
     import ray.data as rd
-    from migration_pair_ray.sources.changelog import unified_schema
+    from migration_pair_ray.pipelines.replay import read_footer, read_in_driver
+    from migration_pair_ray.schemas import unify_change_schemas
 
     meta = LakeMeta(cfg.lake_dir)
     kernel = meta.merge_kernel()
@@ -285,14 +295,20 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
         return rd.from_arrow(empty)
     # one footer-read pass unifies the planned files' schemas (evolution:
     # a partition untouched since before a column appeared must still emit
-    # union-compatible blocks)
-    paths = [str(Path(cfg.lake_dir) / r)
-             for e in plan.values() for r in e["files"]]
-    schema = unified_schema(paths)
+    # union-compatible blocks) and sizes the plan for the executor choice
+    footers = [read_footer(str(Path(cfg.lake_dir) / r))
+               for e in plan.values() for r in e["files"]]
+    schema = unify_change_schemas([s for s, _ in footers])
     # per-pid conv subsets come from the plan: under routed layouts each
     # partition holds only its own convs — shipping the full request to
     # every task is O(P·|want|); a mixed hot-mode request ships the cold
     # convs only to their routed partition (whales to all)
+    if read_in_driver(sum(n for _, n in footers)):
+        return rd.from_arrow(pa.concat_tables(
+            [_fetch_pid_table(cfg.lake_dir, e["files"], e["convs"], kernel,
+                              visible_only, schema)
+             for pid, e in sorted(plan.items())],
+            promote_options="permissive"))
     fn = ray.remote(num_cpus=1)(_fetch_pid_table)
     refs = [fn.remote(cfg.lake_dir, e["files"], e["convs"], kernel,
                       visible_only, schema)

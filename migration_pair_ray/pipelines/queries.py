@@ -552,11 +552,12 @@ def cdc_tombstone_keys(sf_dir: str):
     return ds.sort(["conv_id", "turn_idx"])
 
 
-@_push_heavy
 def _conv_local(cfg: JobConfig, table_fn):
     """Run a per-conversation table→table operator INSIDE each partition
-    read task when the lake layout is conv-disjoint — the co-partitioned
-    fast path shared by the conversation-grain queries: a conv-mode
+    read (``read_lake(finalize=...)``: in the driver for a small lake, a
+    read task per partition otherwise) when the lake layout is
+    conv-disjoint — the co-partitioned fast path shared by the
+    conversation-grain queries: a conv-mode
     partition (splits included — children stay conv-routed) holds every
     visible row of its conversations, so any per-conv grouped operator is
     complete per partition and needs no exchange.  ``table_fn`` receives
@@ -574,6 +575,7 @@ def _conv_local(cfg: JobConfig, table_fn):
         finalize_visible(t, kernel)))
 
 
+@_push_heavy
 def conv_transcripts(sf_dir: str):
     """Transcript assembly: the LWW-merged final state rolled up to ONE
     row per conversation — every surviving turn rendered as ``role: text``
@@ -585,7 +587,7 @@ def conv_transcripts(sf_dir: str):
     Exchange discipline: on a conv-disjoint layout (``partition_mode=
     "conv"``, splits included — children stay conv-routed) a partition
     holds every turn of its conversations, so the assembly runs INSIDE
-    the per-partition read task (``read_lake(finalize=...)`` →
+    the per-partition read (``read_lake(finalize=...)`` →
     ``analytic.string_agg_table``) — **no shuffle**; the turn text never
     moves except into its own transcript.  Salted layouts ("key"/"hot"
     spread a conv's turns) fall back to the coarse-bucket

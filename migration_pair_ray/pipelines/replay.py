@@ -26,13 +26,17 @@ import time
 from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
+from migration_pair_ray.functions.normalize import make_normalizer
 from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
-from migration_pair_ray.stages.applier import LINEAGE_SCHEMA, merge_partition
+from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, merge_partition,
+                                               read_state_table,
+                                               state_file_paths)
 from migration_pair_ray.stages.partition import PART_COL, add_partition_column
 from migration_pair_ray.state.manifest import CheckpointStore, compute_pass_id
 
@@ -104,7 +108,6 @@ class _push_shuffle:
 
 
 def _write_lineage(cfg: JobConfig, pass_id: str, lineage: pa.Table) -> None:
-    import pyarrow.parquet as pq
     d = Path(cfg.lineage_dir)
     d.mkdir(parents=True, exist_ok=True)
     pq.write_table(lineage, str(d / f"pass-{pass_id}.parquet"))
@@ -193,7 +196,6 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
                                    hot_convs=meta.hot_convs())
 
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
     # raw event count from footers (free); lineage rows_in is post-partial-reduce
     events_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     _write_lineage(cfg, pass_id, lineage)
@@ -249,20 +251,96 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
     }
 
 
+def read_in_driver(nbytes: int) -> bool:
+    """The lake-read planner's executor choice, from the uncompressed
+    bytes the read's Parquet footers declare.  A read within Ray Data's
+    own block target (``DataContext.target_max_block_size``, 128 MiB by
+    default) would be about one block anyway, so it runs in the driver
+    and skips the fixed cost every Dataset pays (datasource plan, metadata
+    tasks, streaming-executor start-up); a larger read runs on Ray Data.
+    ``read_lake``, ``final_state`` and ``lookup.fetch_conversations`` all
+    choose here."""
+    return nbytes <= ray.data.DataContext.get_current().target_max_block_size
+
+
+def read_footer(path: str) -> tuple[pa.Schema, int]:
+    """A Parquet file's Arrow schema and uncompressed data bytes (its row
+    groups' ``total_byte_size``), from one footer read."""
+    md = pq.read_metadata(path)
+    return (md.schema.to_arrow_schema(),
+            sum(md.row_group(i).total_byte_size
+                for i in range(md.num_row_groups)))
+
+
+def _project(t: pa.Table, columns: list[str] | None) -> pa.Table:
+    if columns is None:
+        return t
+    return t.select([c for c in columns if c in t.schema.names])
+
+
+def read_partition(lake_dir: str, manifest: dict, kernel: str,
+                   schema: pa.Schema, columns: list[str] | None = None,
+                   finalize=None) -> pa.Table:
+    """One pinned partition's committed state as one table conformed to
+    ``schema`` (the read's unified footer schema) — the per-partition
+    kernel both lake-read executors share: the driver executor calls it
+    for every partition, the distributed one in its merge-on-read and
+    ``finalize`` tasks.
+
+    A merge-on-read partition or a ``finalize`` needs full rows (keys,
+    ts, lsn, op, every cell): base and deltas fold with the lake's
+    ``kernel`` (``read_state_table``), then ``finalize`` runs on the
+    complete partition and ``columns`` prunes its output.  Otherwise
+    ``columns`` prunes at the Parquet read: each file reads the requested
+    columns its footer carries (a file carrying none of them reads the
+    ``lsn`` rider for its row count) and the normalizer backfills typed
+    nulls for the rest."""
+    if manifest.get("delta_files") or finalize is not None:
+        t = read_state_table(lake_dir, manifest, kernel=kernel)
+        t = (make_normalizer(schema)(t) if t is not None and t.num_rows
+             else schema.empty_table())
+        return _project(finalize(t) if finalize is not None else t, columns)
+    pruned = (schema if columns is None
+              else pa.schema([schema.field(c) for c in columns]))
+    norm = make_normalizer(pruned)
+    out = []
+    for p in state_file_paths(lake_dir, manifest):
+        with pq.ParquetFile(p) as f:
+            cols = (None if columns is None else
+                    [c for c in columns if c in f.schema_arrow.names]
+                    or ["lsn"])
+            out.append(norm(f.read(columns=cols)))
+    if not out:
+        return pruned.empty_table()
+    return (out[0] if len(out) == 1
+            else pa.concat_tables(out, promote_options="permissive"))
+
+
 def read_lake(cfg: JobConfig, as_of: str | None = None,
               finalize=None,
               columns: list[str] | None = None) -> "ray.data.Dataset":
-    """Streaming Dataset over the lake's committed internal state
-    (tombstone rows included; only manifest-pinned files are read).
+    """Dataset over the lake's committed internal state (tombstone rows
+    included; only manifest-pinned files are read).
+
+    One manifest-planned read, two executors.  The planner reads every
+    pinned manifest and every footer (schema + uncompressed bytes), and
+    ``read_in_driver`` picks the executor from the planned bytes: a read
+    within Ray Data's block target runs ``read_partition`` for every
+    partition in the driver and returns ONE ``from_arrow`` block; a
+    larger one streams plain partitions through ``read_parquet`` and runs
+    ``read_partition`` in one task per merge-on-read/``finalize``
+    partition.  Both conform to the same unified schema with the same
+    kernels, so they return the same rows.
 
     ``finalize`` (internal): a ``pa.Table -> pa.Table`` applied to each
-    partition's COMPLETE state table inside one per-partition read task.
-    Cell-kernel lakes need this shape for any fold that must see every
-    determiner row of a key (``cell_finalize``) — an arbitrary block
-    slice of the lake is not finalizable under cell semantics.
-    Partition enumeration is resolved from the lake's own ``_lake_meta``
-    (not ``cfg.num_partitions``): a misconfigured read cannot silently
-    truncate, and split children are seen.
+    partition's COMPLETE state table (inside one per-partition read task
+    on the distributed executor).  Cell-kernel lakes need this shape for
+    any fold that must see every determiner row of a key
+    (``cell_finalize``) — an arbitrary block slice of the lake is not
+    finalizable under cell semantics.  Partition enumeration is resolved
+    from the lake's own ``_lake_meta`` (not ``cfg.num_partitions``): a
+    misconfigured read cannot silently truncate, and split children are
+    seen.
 
     ``as_of`` = a committed pass_id: read the lake AS IT WAS after that
     pass (time travel).  Requires the lake to have been written with
@@ -279,7 +357,17 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
     previous record.  Requires ``retain_passes >= 1`` on the lake only
     when a writer is actually in flight; on a quiescent lake the current
     records ARE the latest pass."""
-    from migration_pair_ray.stages.applier import state_file_paths
+    return _read_lake(cfg, as_of, finalize, columns)
+
+
+def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
+               columns: list[str] | None, rows=None,
+               sort: list[str] | None = None) -> "ray.data.Dataset":
+    """``read_lake`` plus two steps ``final_state`` passes into the read:
+    ``rows``, a ``pa.Table -> pa.Table`` valid on any slice of the lake
+    (row-kernel visibility + projection), and the ``sort`` keys.  The
+    driver executor applies both to its one table; the distributed one
+    stacks them on the Dataset."""
     from migration_pair_ray.state.manifest import (
         CheckpointStore, LakeMeta, ManifestStore, TimeTravelError,
         manifest_as_of, record_files)
@@ -301,7 +389,7 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
         target_seq = pass_seqs[as_of]
         base_partitions = (meta.read() or {}).get("num_partitions",
                                                   cfg.num_partitions)
-    paths, mor_manifests = [], []
+    manifests, paths, mor_manifests = [], [], []
     for pid in pids:
         m = store.read(pid)
         if as_of is not None:
@@ -311,7 +399,10 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
                     f"partition {pid} is a split child with no record at or "
                     f"before pass {as_of!r}; its parent's pre-split state "
                     f"was GC'd — time travel cannot cross a split")
-        if m and (m.get("delta_files") or finalize is not None):
+        if not m:
+            continue
+        manifests.append(m)
+        if m.get("delta_files") or finalize is not None:
             # merge-on-read partition (files hold MULTIPLE versions per
             # key — cannot stream raw) or a caller-supplied per-partition
             # finalize: one read-merge task per partition folds base +
@@ -319,41 +410,34 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
             mor_manifests.append(m)
         else:
             paths.extend(state_file_paths(cfg.lake_dir, m))
-    def project(t: pa.Table) -> pa.Table:
-        if columns is None:
-            return t
-        return t.select([c for c in columns if c in t.schema.names])
 
     if not paths and not mor_manifests:
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         empty = CHANGE_SCHEMA.empty_table()
-        empty = finalize(empty) if finalize is not None else empty
-        return ray.data.from_arrow(project(empty))
+        return _driver_dataset(
+            [_project(finalize(empty) if finalize is not None else empty,
+                      columns)], rows, sort)
     # Partitions evolve independently (a pass may touch only some), so state
     # files can disagree on schema; conform every batch to the deterministic
     # unified schema (footer reads only). This also drops the hive-inferred
     # ``part=NNNNN`` layout column.
     import json as _json
 
-    import pyarrow.parquet as pq
-    from migration_pair_ray.functions.normalize import make_normalizer
     from migration_pair_ray.schemas import unify_change_schemas
     mor_paths = [str(Path(cfg.lake_dir) / f)
                  for m in mor_manifests for f in record_files(m)]
-    footers = [pq.read_schema(p) for p in paths]
-    schema = unify_change_schemas(
-        footers + [pq.read_schema(p) for p in mor_paths])
+    footers = [read_footer(p) for p in paths + mor_paths]
+    schema = unify_change_schemas([s for s, _ in footers])
     if columns is not None:
         unknown = [c for c in columns if c not in schema.names]
         if unknown:
             raise ValueError(f"read_lake columns {unknown} not in the "
                              f"lake schema {schema.names}")
-        # deterministic order = the caller's column order (the same order
-        # ``project`` applies on the MoR/finalize path)
-        pruned = pa.schema([schema.field(c) for c in columns])
-    else:
-        pruned = schema
     kernel = meta.merge_kernel()
+    if read_in_driver(sum(n for _, n in footers)):
+        return _driver_dataset(
+            [read_partition(cfg.lake_dir, m, kernel, schema, columns,
+                            finalize) for m in manifests], rows, sort)
     parts = []
     if paths:
         if columns is None:
@@ -366,12 +450,14 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
             # and read each group with its own projection (the normalizer
             # backfills typed nulls to the pruned unified schema).  A file
             # carrying none of them still contributes rows: read one
-            # always-present rider column for the row count.
+            # always-present rider column for the row count.  The
+            # caller's column order is the order ``read_partition`` gives.
             groups: dict[tuple, list[str]] = {}
-            for p, s in zip(paths, footers):
-                key = tuple(c for c in pruned.names if c in s.names)
+            for p, (s, _) in zip(paths, footers):
+                key = tuple(c for c in columns if c in s.names)
                 groups.setdefault(key, []).append(p)
-            norm = make_normalizer(pruned)
+            norm = make_normalizer(
+                pa.schema([schema.field(c) for c in columns]))
             for key, grp in groups.items():
                 cols = list(key) or ["lsn"]
                 parts.append(
@@ -379,30 +465,32 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
                                           columns=cols)
                     .map_batches(norm, batch_format="pyarrow"))
     if mor_manifests:
-        from migration_pair_ray.stages.applier import read_state_table
         lake_dir = cfg.lake_dir
 
-        def merge_partition(t: pa.Table) -> pa.Table:
-            # MoR fold / cell finalize need the full rows (keys, ts, lsn,
-            # op, every cell) — prune only AFTER the per-partition fold
-            norm = make_normalizer(schema)
-            out = [read_state_table(lake_dir, _json.loads(mj), kernel=kernel)
-                   for mj in t.column("manifest").to_pylist()]
-            out = [norm(o) for o in out if o is not None and o.num_rows]
-            if not out:
-                base = schema.empty_table()
-            else:
-                base = (out[0] if len(out) == 1
-                        else pa.concat_tables(out,
-                                              promote_options="permissive"))
-            return project(finalize(base) if finalize is not None else base)
+        def read_task(t: pa.Table) -> pa.Table:       # one manifest
+            return read_partition(lake_dir,
+                                  _json.loads(t.column("manifest")[0].as_py()),
+                                  kernel, schema, columns, finalize)
 
-        mor_ds = ray.data.from_items(
+        parts.append(ray.data.from_items(
             [{"manifest": _json.dumps(m)} for m in mor_manifests]
-        ).map_batches(merge_partition, batch_format="pyarrow",
-                      batch_size=1)
-        parts.append(mor_ds)
-    return parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+        ).map_batches(read_task, batch_format="pyarrow", batch_size=1))
+    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+    if rows is not None:
+        ds = ds.map_batches(rows, batch_format="pyarrow")
+    return ds.sort(sort) if sort else ds
+
+
+def _driver_dataset(tables: list[pa.Table], rows,
+                    sort: list[str] | None) -> "ray.data.Dataset":
+    """The driver executor's tail: the partitions' tables as ONE block."""
+    t = (tables[0] if len(tables) == 1
+         else pa.concat_tables(tables, promote_options="permissive"))
+    if rows is not None:
+        t = rows(t)
+    if sort:
+        t = t.sort_by([(k, "ascending") for k in sort])
+    return ray.data.from_arrow(t)
 
 
 def repartition_lake(cfg: JobConfig, new_cfg: JobConfig) -> dict:
@@ -508,8 +596,13 @@ def final_state(cfg: JobConfig, sort: bool = True, drop_meta: bool = True,
     Row-kernel lakes finalize per block (each key is ONE state row, so any
     slice is finalizable).  Cell-kernel lakes finalize per PARTITION (a
     key's visible row folds from its whole determiner set): the fold runs
-    inside one read task per partition via ``read_lake(finalize=...)`` —
-    the same granularity the merge tasks work at, so it holds at scale."""
+    once per partition via ``read_lake(finalize=...)`` — the same
+    granularity the merge tasks work at, so it holds at scale.
+
+    Visibility, projection and the sort are passed INTO the lake read, so
+    a lake within Ray Data's block target (``read_in_driver``) comes back
+    as one driver-built block with no operator stacked on it; a larger
+    lake runs them as Ray Data operators on the distributed read."""
     from migration_pair_ray.state.manifest import LakeMeta
     kernel = LakeMeta(cfg.lake_dir).merge_kernel()
     if columns is not None:
@@ -520,6 +613,7 @@ def final_state(cfg: JobConfig, sort: bool = True, drop_meta: bool = True,
         if sort and not {"conv_id", "turn_idx"} <= set(columns):
             raise ValueError("final_state(sort=True) needs conv_id and "
                              "turn_idx in columns")
+    keys = ["conv_id", "turn_idx"] if sort else None
     if kernel == "cell":
         if not drop_meta:
             # the cell fold CONSUMES op/lsn (several determiner rows fold
@@ -529,21 +623,15 @@ def final_state(cfg: JobConfig, sort: bool = True, drop_meta: bool = True,
                 "drop_meta=False is not expressible on cell-kernel lakes: "
                 "the per-key fold consumes op/lsn; use read_lake() for "
                 "internal determiner rows")
-        ds = read_lake(cfg, as_of=as_of, columns=columns,
-                       finalize=lambda t: finalize_visible(t, "cell"))
-    elif columns is not None:
-        # ride the op column for the tombstone filter, then project it out
-        internal = list(columns) + ["op"]
+        return _read_lake(cfg, as_of, lambda t: finalize_visible(t, "cell"),
+                          columns, sort=keys)
+    if columns is None:
+        return _read_lake(cfg, as_of, None, None, sort=keys,
+                          rows=lambda b: visible_state(b, drop_meta=drop_meta))
 
-        def vis(b: pa.Table) -> pa.Table:
-            return visible_state(b, drop_meta=True).select(list(columns))
+    # ride the op column for the tombstone filter, then project it out
+    def vis(b: pa.Table) -> pa.Table:
+        return visible_state(b, drop_meta=True).select(list(columns))
 
-        ds = read_lake(cfg, as_of=as_of, columns=internal).map_batches(
-            vis, batch_format="pyarrow")
-    else:
-        ds = read_lake(cfg, as_of=as_of).map_batches(
-            lambda b: visible_state(b, drop_meta=drop_meta),
-            batch_format="pyarrow")
-    if sort:
-        ds = ds.sort(["conv_id", "turn_idx"])
-    return ds
+    return _read_lake(cfg, as_of, None, list(columns) + ["op"], rows=vis,
+                      sort=keys)

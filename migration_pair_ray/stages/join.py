@@ -130,8 +130,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               on: list[str] | str, how: str = "inner",
               num_buckets: int | None = None,
               bloom_from: str | None = None,
-              bloom_bits: int = 1 << 23,
-              dict_cols: list[str] | None = None) -> "ray.data.Dataset":
+              bloom_bits: int = 1 << 23) -> "ray.data.Dataset":
     """Partitioned hash join of two large Datasets on equality of ``on``.
 
     Both sides shuffle once (bucketed by key hash); each bucket joins
@@ -148,13 +147,6 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     huge).  Only allowed where dropping provably-unmatched probe rows
     can't change the result (e.g. never the outer-preserved side);
     invalid combinations raise.  False positives only cost shuffle bytes.
-
-    ``dict_cols``: low-cardinality payload columns (role/tool/event_type
-    grade) to dictionary-encode BEFORE the exchange — each shuffled block
-    then carries int32 codes plus one tiny per-block dictionary instead
-    of repeated strings; decoded in-bucket before the Acero join, so the
-    result is byte-identical.  Wire-only: never changes semantics, only
-    exchange bytes (round-4 VERDICT item 7).
     """
     if isinstance(on, str):
         on = [on]
@@ -208,24 +200,13 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         + [pa.field(c, rtypes[c]) for c in r_only])
     from migration_pair_ray.schemas import conform_batch
 
-    enc = tuple(c for c in (dict_cols or ()) if c in union_schema.names)
-
-    def _wire_encode(b: pa.Table) -> pa.Table:
-        for c in enc:
-            i = b.schema.get_field_index(c)
-            col = b.column(i)
-            if not pa.types.is_dictionary(col.type):
-                b = b.set_column(
-                    i, c, col.combine_chunks().dictionary_encode())
-        return b
-
     lt = left.map_batches(
-        lambda b: _wire_encode(
-            _add_bucket(conform_batch(b, union_schema), on, num_buckets, 0)),
+        lambda b: _add_bucket(conform_batch(b, union_schema), on,
+                              num_buckets, 0),
         batch_format="pyarrow")
     rt = right.map_batches(
-        lambda b: _wire_encode(
-            _add_bucket(conform_batch(b, union_schema), on, num_buckets, 1)),
+        lambda b: _add_bucket(conform_batch(b, union_schema), on,
+                              num_buckets, 1),
         batch_format="pyarrow")
     both = lt.union(rt)
 
@@ -235,10 +216,6 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     def join_bucket(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        for i, f in enumerate(g.schema):      # decode wire dictionaries
-            if pa.types.is_dictionary(f.type):
-                g = g.set_column(i, f.name,
-                                 pc.cast(g.column(i), f.type.value_type))
         lmask = pc.equal(g.column(_SIDE_COL), 0)
         lg = g.filter(lmask).select(on + l_only)
         rg = g.filter(pc.invert(lmask)).select(on + r_only)

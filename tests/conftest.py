@@ -27,3 +27,13 @@ def tmp_lake(tmp_path):
     lake = tmp_path / "lake"
     log.mkdir()
     return str(log), str(lake)
+
+
+@pytest.fixture()
+def distributed_reads(monkeypatch):
+    """Send every manifest-planned lake read (``read_lake``,
+    ``final_state``, ``fetch_conversations``) to its Ray Data executor.
+    Test lakes sit far below Ray Data's block target, so the planner
+    would read them all in the driver; this patches its one predicate."""
+    from migration_pair_ray.pipelines import replay
+    monkeypatch.setattr(replay, "read_in_driver", lambda nbytes: False)

@@ -35,18 +35,26 @@ def _df(ds) -> pd.DataFrame:
             .reset_index(drop=True))
 
 
-CASES = [
-    {},                                               # plain single-file
-    {"state_chunk_rows": 64},                         # chunked layout
-    {"mor_max_deltas": 8},                            # merge-on-read
-    {"merge_kernel": "cell"},                         # cell kernel
-]
+CASES = {
+    "plain": {},                                      # plain single-file
+    "chunked": {"state_chunk_rows": 64},              # chunked layout
+    "mor": {"mor_max_deltas": 8},                     # merge-on-read
+    "cell": {"merge_kernel": "cell"},                 # cell kernel
+}
+# every layout on both read executors: the driver one the planner picks
+# for these small lakes, and the forced Ray Data one
+EXECUTOR_CASES = (
+    [pytest.param(kw, False, id=name) for name, kw in CASES.items()]
+    + [pytest.param(kw, True, id=f"{name}-distributed")
+       for name, kw in CASES.items()])
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("cfg_kw", CASES,
-                         ids=["plain", "chunked", "mor", "cell"])
-def test_pruned_final_state_equals_projection(tmp_path, cfg_kw):
+@pytest.mark.parametrize("cfg_kw, distributed", EXECUTOR_CASES)
+def test_pruned_final_state_equals_projection(tmp_path, request, cfg_kw,
+                                              distributed):
+    if distributed:
+        request.getfixturevalue("distributed_reads")
     cfg = _lake(tmp_path, "p", **cfg_kw)
     cols = ["conv_id", "turn_idx", "tool"]   # tool absent from file 0
     full = _df(final_state(cfg, sort=False))[cols]
@@ -73,10 +81,11 @@ def test_pruned_read_lake_and_validation(tmp_path):
         final_state(cfg, sort=True, columns=["role"])
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
 def test_pruned_read_skips_text_bytes(tmp_path):
     """The pruned plan must actually read less: compare the Ray Data
-    stats' read output bytes with and without pruning."""
+    stats' read output bytes with and without pruning (distributed
+    executor)."""
     cfg = _lake(tmp_path, "b")
     import re
 
@@ -94,4 +103,22 @@ def test_pruned_read_skips_text_bytes(tmp_path):
     full = read_bytes(final_state(cfg, sort=False))
     slim = read_bytes(final_state(cfg, sort=False,
                                   columns=["conv_id", "turn_idx"]))
+    assert slim < full * 0.7, (slim, full)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_pruned_driver_read_skips_text_bytes(tmp_path):
+    """The driver executor prunes at its Parquet read too: its one block
+    carries the pruned columns only."""
+    cfg = _lake(tmp_path, "d")
+
+    def block_bytes(ds) -> int:
+        blocks = list(ds.iter_batches(batch_size=None,
+                                      batch_format="pyarrow"))
+        assert len(blocks) == 1
+        return blocks[0].nbytes
+
+    full = block_bytes(final_state(cfg, sort=False))
+    slim = block_bytes(final_state(cfg, sort=False,
+                                   columns=["conv_id", "turn_idx"]))
     assert slim < full * 0.7, (slim, full)

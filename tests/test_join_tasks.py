@@ -437,37 +437,3 @@ def test_cli_fsck_task(tmp_path):
     rep = cli("fsck")
     assert not rep["ok"]
     assert rep["problems"][0]["kind"] == "missing_file"
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_hash_join_dict_cols_wire_encoding_is_transparent():
-    """dict_cols dictionary-codes low-cardinality payload columns on the
-    exchange only — the joined result must be byte-identical to the
-    plain join (decoded in-bucket before Acero)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-    from migration_pair_ray.stages.join import hash_join
-
-    n = 5000
-    left = rd.from_arrow(pa.table({
-        "k": pa.array(np.arange(n) % 700),
-        "role": pa.array([["user", "assistant", "tool"][i % 3]
-                          for i in range(n)]),
-        "text": pa.array([f"payload {i}" for i in range(n)])}))
-    right = rd.from_arrow(pa.table({
-        "k": pa.array(np.arange(n) % 900),
-        "tool": pa.array([None, "w1", "w2"][i % 3] for i in range(n))}))
-
-    def norm(ds):
-        return (ds.to_pandas().sort_values(["k", "text", "tool"])
-                .reset_index(drop=True))
-
-    plain = norm(hash_join(left, right, on="k", how="outer"))
-    coded = norm(hash_join(left, right, on="k", how="outer",
-                           dict_cols=["role", "tool"]))
-    pd.testing.assert_frame_equal(coded, plain)
-    # unknown names are ignored, not an error
-    extra = norm(hash_join(left, right, on="k", how="outer",
-                           dict_cols=["role", "nope"]))
-    pd.testing.assert_frame_equal(extra, plain)

@@ -158,3 +158,21 @@ def test_fetch_conversations_empty_partition_block_schema(tmp_path):
     # fully-absent request: empty Dataset, still visible-shaped
     empty = fetch_conversations(cfg, [ghost]).to_pandas()
     assert len(empty) == 0
+
+
+# -- the fetches above, on the forced one-task-per-partition executor ------
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_fetch_conversations_distributed_executor(tmp_path):
+    test_fetch_conversations_distributed(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_fetch_conversations_mor_and_hot_distributed(tmp_path):
+    test_fetch_conversations_mor_and_hot(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_fetch_conversations_empty_partition_block_schema_distributed(
+        tmp_path):
+    test_fetch_conversations_empty_partition_block_schema(tmp_path)

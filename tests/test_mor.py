@@ -79,6 +79,11 @@ def test_mor_equals_cow_and_time_travels(tmp_path):
     assert validate_lake(mor, deep=True)["ok"]
 
 
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_mor_equals_cow_and_time_travels_distributed(tmp_path):
+    test_mor_equals_cow_and_time_travels(tmp_path)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_mor_threshold_compacts(tmp_path):
     groups = _staged(tmp_path)

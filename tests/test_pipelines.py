@@ -103,6 +103,63 @@ def test_bulk_load_csv_roundtrip(tmp_lake, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_bulk_load_csv_matches_duckdb_lww(tmp_path):
+    """CSV ``bulk_load`` end to end against a DuckDB LWW oracle over the
+    same rows: empty fields load as nulls, a redelivered row counts once,
+    a later update wins, a delete removes its key, an equal ts orders by
+    lsn and an older ts loses to a newer one whatever its lsn."""
+    import csv
+    header = ["conv_id", "turn_idx", "role", "text", "tool", "ts", "op",
+              "lsn"]
+    first = [
+        ["c1", 0, "user", "hello", "", "2024-01-01 00:00:01", "I", 1],
+        ["c1", 1, "assistant", "", "search", "2024-01-01 00:00:02", "I", 2],
+        ["c2", 0, "", "no role", "calc", "2024-01-01 00:00:03", "I", 3],
+        ["c3", 0, "user", "to delete", "", "2024-01-01 00:00:04", "I", 4],
+        ["c3", 1, "user", "tie a", "", "2024-01-01 00:00:05", "I", 5],
+        ["c4", 0, "tool", "", "calc", "2024-01-01 00:00:06", "I", 6],
+    ]
+    second = [
+        first[0],                                            # redelivered
+        ["c1", 1, "assistant", "edited", "", "2024-01-01 00:00:07", "U", 7],
+        ["c3", 0, "", "", "", "2024-01-01 00:00:08", "D", 8],
+        ["c3", 1, "user", "tie b", "calc", "2024-01-01 00:00:05", "U", 9],
+        ["c2", 0, "user", "stale", "", "2024-01-01 00:00:00", "U", 10],
+    ]
+    src = tmp_path / "csv_in"
+    src.mkdir()
+    for name, rows in (("a.csv", first), ("b.csv", second)):
+        with open(src / name, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+    cfg = JobConfig(changelog_dir=str(tmp_path / "nolog"),
+                    lake_dir=str(tmp_path / "lake"), num_partitions=4)
+    os.makedirs(cfg.changelog_dir, exist_ok=True)
+    bulk_load(cfg, f"{src}/", fmt="csv")
+
+    got = final_state(cfg, sort=True).to_pandas()
+    want = duckdb.sql(f"""
+        WITH raw AS (SELECT * FROM read_csv('{src}/*.csv', header=true,
+                                            all_varchar=true)),
+        ch AS (SELECT conv_id, CAST(turn_idx AS INTEGER) AS turn_idx,
+                      NULLIF(role, '') AS role, NULLIF(text, '') AS text,
+                      NULLIF(tool, '') AS tool, CAST(ts AS TIMESTAMP) AS ts,
+                      op, CAST(lsn AS BIGINT) AS lsn FROM raw),
+        w AS (SELECT *, row_number() OVER (PARTITION BY conv_id, turn_idx
+                                           ORDER BY ts DESC, lsn DESC) rn
+              FROM ch)
+        SELECT conv_id, turn_idx, role, text, tool, ts FROM w
+        WHERE rn = 1 AND op <> 'D' ORDER BY conv_id, turn_idx""").df()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    # the cases the rows were written for actually survive to the answer
+    assert list(zip(got["conv_id"], got["turn_idx"])) == [
+        ("c1", 0), ("c1", 1), ("c2", 0), ("c3", 1), ("c4", 0)]
+    assert got["role"].isna().sum() == 1 and got["text"].isna().sum() == 1
+    assert list(got["text"])[1] == "edited" and list(got["text"])[3] == "tie b"
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_bulk_load_strict_gate_aborts(tmp_lake, tmp_path):
     log, lake = tmp_lake
     bad = pa.table({"conv_id": pa.array(["a"]), "nonsense": pa.array([1])})

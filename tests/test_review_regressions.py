@@ -143,3 +143,43 @@ def test_template_hash_pass_exchange_is_slim():
     per_row = int(m.group(1)) / len(df)
     assert per_row < 120, (f"hash-pass exchange carries {per_row:.0f} B/row "
                            f"— text payload has crept into the shuffle")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_conv_transcripts_salted_fallback_builds_under_push_shuffle(
+        tmp_lake, monkeypatch):
+    """On a salted (``partition_mode="key"``) lake ``conv_transcripts``
+    falls back to the ``grouped_string_agg`` exchange, which must be
+    built inside the push-based shuffle context ``_push_heavy`` enters."""
+    from ray.data.context import DataContext, ShuffleStrategy
+
+    from migration_pair_ray.pipelines import queries
+    from migration_pair_ray.pipelines import replay as replay_mod
+    from migration_pair_ray.stages import analytic
+    log, lake = tmp_lake
+    generate_change_log(log, n_events=300, n_convs=5, n_files=1, seed=3)
+    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=4,
+                    partition_mode="key")
+    replay(cfg)
+    monkeypatch.setattr(queries, "_events_lake", lambda sf_dir: cfg)
+
+    entered, strategies = [], []
+
+    class Recording(replay_mod._push_shuffle):
+        def __enter__(self):
+            entered.append(True)
+            return super().__enter__()
+
+    monkeypatch.setattr(replay_mod, "_push_shuffle", Recording)
+    agg = analytic.grouped_string_agg
+
+    def recording_agg(*a, **kw):
+        strategies.append(DataContext.get_current().shuffle_strategy)
+        return agg(*a, **kw)
+
+    monkeypatch.setattr(analytic, "grouped_string_agg", recording_agg)
+    out = queries.conv_transcripts("unused").to_pandas()
+    assert entered
+    assert strategies == [ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED]
+    want = final_state(cfg, sort=False).to_pandas()["conv_id"].nunique()
+    assert len(out) == want

@@ -149,6 +149,16 @@ def test_schema_history_audit(tmp_path):
     assert run_task("schema_history", cfg)["history"] == hist
 
 
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_widening_single_pass_distributed(tmp_path):
+    test_widening_single_pass(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_widening_across_passes_distributed(tmp_path):
+    test_widening_across_passes(tmp_path)
+
+
 def test_compliance_accepts_widening_rejects_narrowing_conflict():
     from migration_pair_ray.pipelines.compliance import check_compliance
     tgt = pa.schema([pa.field("turn_idx", pa.int64()),

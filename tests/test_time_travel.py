@@ -290,12 +290,17 @@ def test_bulk_load_pass_is_time_travel_resolvable(tmp_path):
     pd.testing.assert_frame_equal(cur, _fs(cfg))
 
 
-@pytest.mark.parametrize("seed", [11, 13])
+@pytest.mark.parametrize("seed, distributed", [
+    pytest.param(11, False, id="11"), pytest.param(13, False, id="13"),
+    pytest.param(11, True, id="11-distributed")])
 @pytest.mark.usefixtures("ray_session")
-def test_every_retained_prefix_reconstructs(tmp_path, seed):
+def test_every_retained_prefix_reconstructs(tmp_path, request, seed,
+                                            distributed):
     """Property: with retain_passes >= number of passes, EVERY pass prefix
     is reconstructible and equals the oracle over exactly that prefix —
     including middle passes that partitions may have skipped."""
+    if distributed:
+        request.getfixturevalue("distributed_reads")
     stage = tmp_path / "stage"
     files = generate_change_log(str(stage), n_events=1800, n_convs=12,
                                 n_files=6, tool_epoch=1, seed=seed)
@@ -312,3 +317,35 @@ def test_every_retained_prefix_reconstructs(tmp_path, seed):
         prefix = [f for g in groups[:k] for f in g]
         pd.testing.assert_frame_equal(_fs(cfg, as_of=pid), _oracle(prefix))
     assert validate_lake(cfg, deep=True)["ok"]
+
+
+# -- the as_of reads above, on the forced Ray Data executor ---------------
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_as_of_reconstructs_past_pass_distributed(tmp_path):
+    test_as_of_reconstructs_past_pass(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_vacuum_trims_and_frees_distributed(tmp_path):
+    test_vacuum_trims_and_frees(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_chunked_layout_retention_distributed(tmp_path):
+    test_chunked_layout_retention(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_snapshot_isolation_latest_distributed(tmp_path):
+    test_snapshot_isolation_latest(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_time_travel_around_splits_distributed(tmp_path):
+    test_time_travel_around_splits(tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_bulk_load_pass_is_time_travel_resolvable_distributed(tmp_path):
+    test_bulk_load_pass_is_time_travel_resolvable(tmp_path)
