@@ -15,8 +15,12 @@ _MERSENNE = np.uint64((1 << 61) - 1)
 
 def stable_hash64(values) -> np.ndarray:
     """Process-stable 64-bit hash of a string sequence (SipHash via pandas
-    with its fixed default key)."""
-    arr = np.asarray(pd.Series(values, dtype=object).fillna(""), dtype=object)
+    with its fixed default key); a null (None/NaN) hashes like ``""``."""
+    arr = np.asarray(values, dtype=object)
+    nulls = pd.isna(arr)
+    if nulls.any():
+        arr = arr.copy()
+        arr[nulls] = ""
     return pd.util.hash_array(arr, categorize=False)
 
 

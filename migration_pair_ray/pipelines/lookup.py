@@ -7,10 +7,17 @@ and within a chunked partition in exactly ONE key-range chunk file
 
     O(#keys) manifest reads  +  the few chunk files whose range matches,
 
-never the lake — at 100 TB this is the serving path (row-group pruning via
-Parquet ``filters=`` bounds even the touched file's I/O).  The reference
-had this for free (Cassandra point reads); an engine that owns its lake
-must own it explicitly.
+never the lake — at 100 TB this is the serving path.  Each touched file is
+opened once and only its row groups whose ``conv_id`` statistics can hold
+a requested conv are decoded (``read_covering_row_groups``), so even the
+touched file's I/O is bounded.  The reference had this for free
+(Cassandra point reads); an engine that owns its lake must own it
+explicitly.
+
+A request costs about its data: it reads ``_lake_meta.json`` once and
+derives kernel, routing and partition enumeration from that snapshot, and
+it folds versions with the kernel only in a partition where two files
+contributed rows (a single state file already holds the reduced form).
 
 Driver-side by design: a point lookup is a latency path, not a throughput
 job — shipping it through a Dataset would add scheduling overhead to read
@@ -25,6 +32,7 @@ broadcast-set filter.
 
 from __future__ import annotations
 
+import bisect
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +42,7 @@ import pyarrow.parquet as pq
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import finalize_visible, reduce_events
+from migration_pair_ray.state.bloom import load_sidecar
 from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
 
 
@@ -94,23 +103,28 @@ def candidate_files_by_pid(cfg: JobConfig, conv_ids: list[str],
 
 
 def candidate_plan(cfg: JobConfig, conv_ids: list[str],
-                   turn_idx: list[int] | None = None
-                   ) -> dict[int, dict]:
+                   turn_idx: list[int] | None = None,
+                   layout: dict | None = None) -> dict[int, dict]:
     """Per-partition lookup plan: ``{pid: {"files": [...], "convs":
     [...]}}``.  Each partition is pruned against only ITS OWN requested
     conversations (under a routed layout a partition can never hold
     another partition's convs — pruning with the full request would keep
     chunks that cannot match).  A mixed hot-mode request splits: cold
     convs go to their routed partition only, whale convs (``_route``
-    id -1) join every active partition's subset."""
+    id -1) join every active partition's subset.
+
+    ``layout``: the ``LakeMeta.read()`` snapshot the caller took (``{}``
+    for a lake without one); routing and enumeration both come from it,
+    so a split published mid-request cannot mix two layouts.  None reads
+    it here."""
     meta = LakeMeta(cfg.lake_dir)
-    cur = meta.read()
-    if cur is None:
+    cur = meta.read() if layout is None else layout
+    if not cur:
         return {}
     p, mode = int(cur["num_partitions"]), cur["partition_mode"]
-    route = _route(conv_ids, turn_idx, p, mode, meta.splits(),
-                   tuple(cur.get("hot_convs") or ()))
-    active = meta.active_partition_ids(cfg.num_partitions)
+    route = _route(conv_ids, turn_idx, p, mode, meta.splits(cur),
+                   meta.hot_convs(cur))
+    active = meta.active_partition_ids(cfg.num_partitions, cur)
     per_conv: dict[int, set] = {}
     per_pairs: dict[int, set] = {}
     if route is None:                      # salted layout: full fan-out
@@ -124,7 +138,6 @@ def candidate_plan(cfg: JobConfig, conv_ids: list[str],
                     per_pairs.setdefault(pid, set()).add(
                         (conv_ids[i], turn_idx[i]))
     store = ManifestStore(cfg.manifest_dir)
-    import bisect
     out: dict[int, dict] = {}
     for pid in sorted(per_conv):
         m = store.read(pid)
@@ -137,7 +150,6 @@ def candidate_plan(cfg: JobConfig, conv_ids: list[str],
             # second pruning stage after the key range: the file's Bloom
             # sidecar (state/bloom.py).  Missing/corrupt sidecar ->
             # candidate (an accelerator, never an authority).
-            from migration_pair_ray.state.bloom import load_sidecar
             blm = load_sidecar(Path(cfg.lake_dir) / rel)
             if blm is None:
                 return True
@@ -175,6 +187,52 @@ def candidate_plan(cfg: JobConfig, conv_ids: list[str],
     return out
 
 
+def read_covering_row_groups(path: str, convs: list[str]) -> pa.Table:
+    """One state file's rows whose ``conv_id`` is in ``convs`` (sorted),
+    from ONE open of the file: a row group is decoded only if its
+    ``conv_id`` min/max statistics can hold a requested conv (every row
+    group when the file has no such statistics), then the rows are
+    filtered exactly."""
+    with pq.ParquetFile(path) as f:
+        md = f.metadata
+        col = md.schema.names.index("conv_id")
+        keep = []
+        for i in range(md.num_row_groups):
+            st = md.row_group(i).column(col).statistics
+            if st is None or not st.has_min_max:
+                keep.append(i)
+                continue
+            k = bisect.bisect_left(convs, st.min)
+            if k < len(convs) and convs[k] <= st.max:
+                keep.append(i)
+        t = (f.read_row_groups(keep) if keep
+             else f.schema_arrow.empty_table())
+    conv = t.column("conv_id")
+    return t.filter(pc.is_in(conv, value_set=pa.array(convs, conv.type)))
+
+
+def _pid_rows(lake_dir: str, rels: list[str], convs: list[str], kernel: str,
+              schema: pa.Schema | None = None) -> pa.Table | None:
+    """One planned partition's rows for ``convs`` (None when no file
+    holds any): each file read once by ``read_covering_row_groups`` and
+    conformed to ``schema`` when given.  The kernel fold runs only when
+    two or more files contributed rows — the only case where a key can
+    have two versions (base + merge-on-read deltas, or chunks); one state
+    file already holds the reduced form.  Valid per partition: a key
+    lives in exactly one partition and the plan lists every file covering
+    it, so the fold sees each key's complete row set."""
+    from migration_pair_ray.schemas import conform_batch
+    tables = []
+    for rel in rels:
+        t = read_covering_row_groups(str(Path(lake_dir) / rel), convs)
+        if t.num_rows:
+            tables.append(t if schema is None else conform_batch(t, schema))
+    if len(tables) <= 1:
+        return tables[0] if tables else None
+    return reduce_events(pa.concat_tables(tables, promote_options="permissive"),
+                         kernel)
+
+
 def lookup_keys(cfg: JobConfig, conv_ids: list[str],
                 turn_idx: list[int] | None = None,
                 visible_only: bool = True) -> pa.Table:
@@ -190,30 +248,26 @@ def lookup_keys(cfg: JobConfig, conv_ids: list[str],
     the key's COMPLETE determiner rows — the precondition
     ``finalize_visible`` documents).  False returns internal state rows
     (one winner per key, or the determiner set under the cell kernel).
+
+    One ``_lake_meta.json`` read gives the kernel and the plan; each
+    planned partition is read by ``_pid_rows`` (one open per file,
+    covering row groups only, a kernel fold only where two files hold
+    rows).
     """
     if turn_idx is not None and len(turn_idx) != len(conv_ids):
         raise ValueError("turn_idx must parallel conv_ids")
-    kernel = LakeMeta(cfg.lake_dir).merge_kernel()
-    files = candidate_files(cfg, conv_ids, turn_idx)
-    want = sorted(set(conv_ids))
-    tables = []
-    for rel in files:
-        # row-group pruning: Parquet stats skip row groups with no match
-        t = pq.read_table(str(Path(cfg.lake_dir) / rel),
-                          filters=[("conv_id", "in", want)])
-        if t.num_rows:
-            tables.append(t)
+    meta = LakeMeta(cfg.lake_dir)
+    layout = meta.read() or {}
+    kernel = meta.merge_kernel(layout)
+    plan = candidate_plan(cfg, conv_ids, turn_idx, layout)
+    tables = [t for _, e in sorted(plan.items())
+              if (t := _pid_rows(cfg.lake_dir, e["files"], e["convs"],
+                                 kernel)) is not None]
     if not tables:
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         out = CHANGE_SCHEMA.empty_table()
     else:
         out = pa.concat_tables(tables, promote_options="permissive")
-    if out.num_rows:
-        # under merge-on-read a key can appear in the base AND in deltas;
-        # the plan fetched every file whose range covers the key, so one
-        # kernel reduce yields the true winner set (no-op on copy-on-write
-        # lakes: state files already hold the reduced form)
-        out = reduce_events(out, kernel)
     if turn_idx is not None and out.num_rows:
         key = pc.binary_join_element_wise(
             out.column("conv_id"),
@@ -228,12 +282,10 @@ def lookup_keys(cfg: JobConfig, conv_ids: list[str],
 def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
                      kernel: str, visible_only: bool,
                      schema: pa.Schema) -> pa.Table:
-    """One partition's rows for the requested conversations: pruned file
-    reads (Parquet row-group stats skip non-matching groups), one kernel
-    reduce (base + MoR deltas fold to true winners), optional visibility
-    finalize.  Valid per-partition: a key lives in exactly one partition
-    and the plan fetched every covering file, so the fold sees each key's
-    complete row set.
+    """One partition's rows for the requested conversations (sorted
+    ``want``): ``_pid_rows`` (one open per file, covering row groups
+    only, a kernel fold where base + MoR deltas or chunks both hold rows),
+    then the optional visibility finalize.
 
     ``schema`` is the footer-unified schema of EVERY planned file (driver-
     computed): each task conforms to it before the fold, so every block
@@ -242,16 +294,9 @@ def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
     later column (or with a different field order), and the empty branch
     goes through the same conform+finalize so a bloom false positive
     cannot emit a differently-shaped block."""
-    from migration_pair_ray.schemas import conform_batch
-    tables = []
-    for rel in rels:
-        t = pq.read_table(str(Path(lake_dir) / rel),
-                          filters=[("conv_id", "in", want)])
-        if t.num_rows:
-            tables.append(conform_batch(t, schema))
-    out = (pa.concat_tables(tables) if tables else schema.empty_table())
-    if out.num_rows:
-        out = reduce_events(out, kernel)
+    out = _pid_rows(lake_dir, rels, want, kernel, schema)
+    if out is None:
+        out = schema.empty_table()
     if visible_only:
         out = finalize_visible(out, kernel)
     return out
@@ -277,22 +322,25 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     Two executors, chosen like ``read_lake``'s by
     ``replay.read_in_driver`` over the planned files' footer bytes: a
     plan within Ray Data's block target runs every partition in the
-    driver and returns one ``from_arrow`` block; a larger plan runs one
-    Ray task per partition (``from_arrow_refs``)."""
+    driver and returns one block through ``replay.driver_dataset``; a
+    larger plan runs one Ray task per partition (``from_arrow_refs``)."""
     import ray
     import ray.data as rd
-    from migration_pair_ray.pipelines.replay import read_footer, read_in_driver
+    from migration_pair_ray.pipelines.replay import (driver_dataset,
+                                                     read_footer,
+                                                     read_in_driver)
     from migration_pair_ray.schemas import unify_change_schemas
 
     meta = LakeMeta(cfg.lake_dir)
-    kernel = meta.merge_kernel()
-    plan = candidate_plan(cfg, conv_ids)
+    layout = meta.read() or {}
+    kernel = meta.merge_kernel(layout)
+    plan = candidate_plan(cfg, conv_ids, layout=layout)
     if not plan:
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         empty = CHANGE_SCHEMA.empty_table()
         if visible_only:
             empty = finalize_visible(empty, kernel)
-        return rd.from_arrow(empty)
+        return driver_dataset([empty])
     # one footer-read pass unifies the planned files' schemas (evolution:
     # a partition untouched since before a column appeared must still emit
     # union-compatible blocks) and sizes the plan for the executor choice
@@ -304,11 +352,10 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     # every task is O(P·|want|); a mixed hot-mode request ships the cold
     # convs only to their routed partition (whales to all)
     if read_in_driver(sum(n for _, n in footers)):
-        return rd.from_arrow(pa.concat_tables(
+        return driver_dataset(
             [_fetch_pid_table(cfg.lake_dir, e["files"], e["convs"], kernel,
                               visible_only, schema)
-             for pid, e in sorted(plan.items())],
-            promote_options="permissive"))
+             for pid, e in sorted(plan.items())])
     fn = ray.remote(num_cpus=1)(_fetch_pid_table)
     refs = [fn.remote(cfg.lake_dir, e["files"], e["convs"], kernel,
                       visible_only, schema)

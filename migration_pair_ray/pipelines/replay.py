@@ -373,7 +373,8 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
         manifest_as_of, record_files)
     store = ManifestStore(cfg.manifest_dir)
     meta = LakeMeta(cfg.lake_dir)
-    pids = meta.active_partition_ids(cfg.num_partitions)
+    layout = meta.read() or {}     # one snapshot: enumeration and kernel
+    pids = meta.active_partition_ids(cfg.num_partitions, layout)
     target_seq = pass_seqs = None
     if as_of is not None:
         pass_seqs = CheckpointStore(cfg.checkpoint_dir).pass_seqs()
@@ -387,8 +388,7 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
                 f"pass {as_of!r} was never committed to this lake (known: "
                 f"{sorted(pass_seqs)})")
         target_seq = pass_seqs[as_of]
-        base_partitions = (meta.read() or {}).get("num_partitions",
-                                                  cfg.num_partitions)
+        base_partitions = layout.get("num_partitions", cfg.num_partitions)
     manifests, paths, mor_manifests = [], [], []
     for pid in pids:
         m = store.read(pid)
@@ -414,7 +414,7 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     if not paths and not mor_manifests:
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         empty = CHANGE_SCHEMA.empty_table()
-        return _driver_dataset(
+        return driver_dataset(
             [_project(finalize(empty) if finalize is not None else empty,
                       columns)], rows, sort)
     # Partitions evolve independently (a pass may touch only some), so state
@@ -433,9 +433,9 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
         if unknown:
             raise ValueError(f"read_lake columns {unknown} not in the "
                              f"lake schema {schema.names}")
-    kernel = meta.merge_kernel()
+    kernel = meta.merge_kernel(layout)
     if read_in_driver(sum(n for _, n in footers)):
-        return _driver_dataset(
+        return driver_dataset(
             [read_partition(cfg.lake_dir, m, kernel, schema, columns,
                             finalize) for m in manifests], rows, sort)
     parts = []
@@ -481,16 +481,22 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     return ds.sort(sort) if sort else ds
 
 
-def _driver_dataset(tables: list[pa.Table], rows,
-                    sort: list[str] | None) -> "ray.data.Dataset":
-    """The driver executor's tail: the partitions' tables as ONE block."""
+def driver_dataset(tables: list[pa.Table], rows=None,
+                   sort: list[str] | None = None) -> "ray.data.Dataset":
+    """The driver executor's tail, shared by every driver-built read
+    (``read_lake``, ``final_state``, ``lookup.fetch_conversations``): the
+    tables as ONE block, handed over already executed.  A materialized
+    ``from_arrow`` plan starts no streaming executor when consumed, and
+    the returned Dataset is the block's only owner, so dropping it frees
+    the block; a lazy plan holds it in reference cycles, pinned in the
+    object store until Python's cyclic GC runs."""
     t = (tables[0] if len(tables) == 1
          else pa.concat_tables(tables, promote_options="permissive"))
     if rows is not None:
         t = rows(t)
     if sort:
         t = t.sort_by([(k, "ascending") for k in sort])
-    return ray.data.from_arrow(t)
+    return ray.data.from_arrow(t).materialize()
 
 
 def repartition_lake(cfg: JobConfig, new_cfg: JobConfig) -> dict:

@@ -15,8 +15,9 @@ Safety model: a sidecar is an ACCELERATOR, never an authority —
   candidate;
 * corrupt sidecar (torn write) -> CRC mismatch -> ignored, file stays a
   candidate;
-* false positive -> harmless extra read (the Parquet ``filters=`` still
-  prunes row groups).
+* false positive -> harmless extra read (the lookup still decodes only
+  the row groups whose ``conv_id`` statistics can hold a requested conv,
+  ``lookup.read_covering_row_groups``).
 
 False NEGATIVES are impossible absent code bugs because state files are
 immutable copy-on-write (a retried task rewrites identical bytes, so a

@@ -377,21 +377,29 @@ class LakeMeta:
                 f"of an existing lake requires an explicit "
                 f"repartition/compact job, not a config change.")
 
-    def hot_convs(self) -> tuple[str, ...]:
-        """The stamped whale set (mode "hot"); empty for other modes."""
-        return tuple((self.read() or {}).get("hot_convs") or ())
+    def _snapshot(self, cur: dict | None) -> dict:
+        """The layout accessors' input: ``cur``, a ``read()`` snapshot the
+        caller already took, else a fresh read; ``{}`` when the lake has
+        no meta yet.  A caller that derives several layout facts for one
+        request (a point lookup's kernel, routing and enumeration) passes
+        one snapshot, so a split published meanwhile cannot mix two
+        layout versions."""
+        return (self.read() if cur is None else cur) or {}
 
-    def merge_kernel(self) -> str:
+    def hot_convs(self, cur: dict | None = None) -> tuple[str, ...]:
+        """The stamped whale set (mode "hot"); empty for other modes."""
+        return tuple(self._snapshot(cur).get("hot_convs") or ())
+
+    def merge_kernel(self, cur: dict | None = None) -> str:
         """The lake's merge kernel ("row" | "cell") — a lake-lifetime
         property (the state files' meaning depends on it).  Lakes created
         before the kernel existed are row-kernel."""
-        return (self.read() or {}).get("merge_kernel", "row")
+        return self._snapshot(cur).get("merge_kernel", "row")
 
-    def splits(self) -> dict[int, tuple[int, int]]:
+    def splits(self, cur: dict | None = None) -> dict[int, tuple[int, int]]:
         """{base_pid: (fanout, gen)} for every split partition."""
-        cur = self.read() or {}
         return {int(k): (int(v["fanout"]), int(v.get("gen", 0)))
-                for k, v in (cur.get("splits") or {}).items()}
+                for k, v in (self._snapshot(cur).get("splits") or {}).items()}
 
     def record_split(self, base_pid: int, fanout: int, gen: int) -> None:
         """Atomically publish a split — the commit point of a split job:
@@ -429,21 +437,21 @@ class LakeMeta:
         cur = self.read() or {}
         return int((cur.get("gen_floor") or {}).get(str(base_pid), 0))
 
-    def active_partition_ids(self, fallback_num_partitions: int | None = None
-                             ) -> list[int]:
+    def active_partition_ids(self, fallback_num_partitions: int | None = None,
+                             cur: dict | None = None) -> list[int]:
         """Partition ids holding live state, in deterministic order: each
         unsplit base pid, then each split base's children.  Read paths
         MUST use this (not ``range(cfg.num_partitions)``): it resolves the
         partition count from the lake's own metadata — a misconfigured
         ``num_partitions`` on a read cannot silently truncate — and it is
         the only enumeration that sees split children."""
-        cur = self.read()
-        if cur is None:
+        cur = self._snapshot(cur)
+        if not cur:
             if fallback_num_partitions is None:
                 return []
             return list(range(fallback_num_partitions))
         p = int(cur["num_partitions"])
-        splits = self.splits()
+        splits = self.splits(cur)
         out: list[int] = []
         for pid in range(p):
             if pid in splits:

@@ -159,3 +159,30 @@ def test_deep_fsck_catches_lying_sidecar(tmp_path):
     Path(sidecar_path(str(victim))).write_bytes(b"junk")
     rep = validate_lake(cfg, deep=True)
     assert rep["ok"], rep["problems"]
+
+
+def test_stable_hash64_values_are_frozen():
+    """Bloom sidecars on disk were built from these values: a change
+    would make every existing sidecar report false negatives.  Null
+    hashes like the empty string; every value equals pandas' SipHash
+    with its fixed default key."""
+    import numpy as np
+
+    from migration_pair_ray.functions.hashing import stable_hash64
+    vals = ["c0", "conv-00042", "c17\x007", "", None, "héllo wörld", "a" * 100]
+    frozen = [14157290225740440609, 14112976320046864024,
+              18095263407017190589, 1760245841805064774,
+              1760245841805064774, 9168398438995957660,
+              14639178269163135395]
+    got = stable_hash64(vals)
+    assert got.dtype == np.uint64
+    assert [int(h) for h in got] == frozen
+    want = pd.util.hash_array(
+        np.array(["" if v is None else v for v in vals], dtype=object),
+        categorize=False)
+    assert (got == want).all()
+    # every accepted input shape: list, object array, Series, NaN null
+    assert [int(h) for h in stable_hash64(np.array(vals, dtype=object))] == frozen
+    assert [int(h) for h in stable_hash64(pd.Series(vals))] == frozen
+    assert int(stable_hash64([float("nan")])[0]) == frozen[3]
+    assert len(stable_hash64([])) == 0

@@ -92,3 +92,82 @@ def test_footers_over_block_target_read_distributed(tmp_path):
     finally:
         ctx.target_max_block_size = saved
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def _consume(ds) -> int:
+    return sum(b.num_rows for b in ds.iter_batches(batch_size=None,
+                                                   batch_format="pyarrow"))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_consumed_driver_reads_leave_no_block_pinned(tmp_path):
+    """A driver-built scan or fetch frees its block when the consumer
+    drops the Dataset, with no help from Python's cyclic GC: after five
+    scans and five fetches the driver owns no more object refs than
+    before them."""
+    import gc
+
+    from ray._private.worker import global_worker
+    cfg, files = _bench_shaped_lake(tmp_path)
+    convs = sorted(_oracle(files)["conv_id"].unique())[:3]
+
+    def refs() -> int:
+        return len(global_worker.core_worker.get_all_reference_counts())
+
+    _consume(final_state(cfg, sort=False))           # warm-up
+    _consume(fetch_conversations(cfg, convs))
+    gc.collect()
+    before = refs()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert _consume(final_state(cfg, sort=False))
+            assert _consume(fetch_conversations(cfg, convs))
+        after = refs()
+    finally:
+        gc.enable()
+    assert after <= before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_turn_lookup_opens_one_file_of_each_kind(tmp_path, monkeypatch):
+    """The fixed cost of a point lookup stays out: on the benchmark's
+    layout one turn-level lookup reads ``_lake_meta.json`` once, one
+    manifest, one bloom sidecar and one state file, and builds no
+    ``pq.read_table``/``ParquetDataset`` plan."""
+    import builtins
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+
+    from migration_pair_ray.pipelines.lookup import lookup_keys
+    cfg, files = _bench_shaped_lake(tmp_path)
+    row = _oracle(files).iloc[7]
+    key = ([row["conv_id"]], [int(row["turn_idx"])])
+    assert lookup_keys(cfg, *key).num_rows == 1      # warm-up
+
+    opened: list[str] = []
+
+    def counting(owner, attr, path_of):
+        orig = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            opened.append(str(path_of(args)))
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(builtins, "open", lambda a: a[0])
+    counting(Path, "read_bytes", lambda a: a[0])
+    counting(pq, "ParquetFile", lambda a: a[0])
+    counting(pq, "read_table", lambda a: "read_table")
+    counting(pq, "ParquetDataset", lambda a: "ParquetDataset")
+    got = lookup_keys(cfg, *key)
+    monkeypatch.undo()
+    assert got.num_rows == 1
+    kinds = [Path(p).name if Path(p).name == "_lake_meta.json"
+             else "manifest" if Path(p).parent.name == "_manifest"
+             else "sidecar" if p.endswith(".bloom")
+             else "state" if p.endswith(".parquet")
+             else p for p in opened]
+    assert sorted(kinds) == ["_lake_meta.json", "manifest", "sidecar",
+                             "state"]
