@@ -4,13 +4,16 @@ implementation here and (where SQL-expressible) a DuckDB oracle string in
 
 The CDC queries derive a deterministic change log from the driver's
 ``events`` table (pure arithmetic/CASE mapping, mirrored 1:1 in SQL), write
-it as change-batch files under /tmp, and run the REAL replay pipeline —
-manifests, partial reduce, hash partition, actor merge — so the correctness
-gate exercises the engine, not a shortcut.
+it as change-batch files into the query cache (``_cache_dir``), and replay
+slices of it into derived lakes (``_derived_lake``) through the REAL replay
+pipeline — manifests, partial reduce, hash partition, per-partition merge —
+so the correctness gate exercises the engine, not a shortcut.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import shutil
 from pathlib import Path
@@ -32,7 +35,7 @@ from migration_pair_ray.pipelines.replay import final_state, read_lake, replay
 # --------------------------------------------------------------------------
 
 # SQL mirror of _derive_changes AS DELIVERED — keep in lockstep with
-# _derive_changes + the file split in _events_lake: the first of 4 change
+# _derive_changes + the file split in _write_derived_log: the first of 4 change
 # files (event_id < ceil(n/4)) is written WITHOUT the `tool` column
 # (schema evolution), so those events arrive with tool = null.
 DERIVED_CHANGES_SQL = """
@@ -135,30 +138,88 @@ def _write_derived_log(sf_dir: str, log_dir: str, flavor=None) -> None:
     done_marker.touch()
 
 
-def _events_lake(sf_dir: str) -> JobConfig:
-    """Build (or reuse) a lake under /tmp by replaying the change log
-    derived from ``<sf_dir>/events.parquet`` through the full pipeline.
-    Reuse is safe: replay is idempotent and keyed to the change files."""
-    # cache key includes the source file's size AND mtime so a regenerated
-    # testdata tree can never hit a stale derived lake (same-size different
-    # content included)
-    st = os.stat(f"{sf_dir}/events.parquet")
-    tag = f"{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}"
-    root = Path("/tmp/mpr_queries") / tag
-    log_dir, lake_dir = str(root / "log"), str(root / "lake")
-    _write_derived_log(sf_dir, log_dir)
-    cfg = JobConfig(changelog_dir=log_dir, lake_dir=lake_dir, num_partitions=16)
-    replay(cfg)  # no-op when already up to date
-    # self-heal: a lake under this tag built by an older engine version
-    # may lack seq stamps on its pass checkpoints, which seq-dependent
-    # consumers (feed, replica) need — rebuild it from the same change
-    # files (deterministic: same pass ids, same bytes)
-    from migration_pair_ray.state.manifest import CheckpointStore
-    ck = CheckpointStore(cfg.checkpoint_dir)
-    if len(list(Path(ck.dir).glob("pass-*.json"))) != len(ck.pass_seqs()):
-        shutil.rmtree(lake_dir, ignore_errors=True)
-        replay(cfg)
+_CACHE_ROOT = Path("/tmp/mpr_queries")
+
+
+def _cache_dir(sf_dir: str, name: str) -> Path:
+    """The cache directory ``name`` of the testdata tree ``sf_dir``:
+    ``<_CACHE_ROOT>/<tree name>-<identity>/<name>``.  The identity hashes
+    the name, size and mtime of every Parquet file in the tree, so a
+    regenerated tree (same sizes included) never reuses a lake, log,
+    index or checkpoint built from the old one; every cache of a tree
+    shares the ``<tree name>-`` prefix."""
+    ident = sorted((p.name, p.stat().st_size, p.stat().st_mtime_ns)
+                   for p in Path(sf_dir).glob("*.parquet"))
+    digest = hashlib.sha1(repr(ident).encode()).hexdigest()[:12]
+    return _CACHE_ROOT / f"{Path(sf_dir).name}-{digest}" / name
+
+
+def _build_once(path: Path, inputs: dict, build) -> Path:
+    """Build the directory ``path`` with ``build(path)`` unless its marker
+    records the same ``inputs`` (JSON).  The marker is written last: a
+    build that crashed, or one made from other inputs, is wiped and
+    rebuilt, never reused."""
+    marker = path / "_built.json"
+    want = json.dumps(inputs, sort_keys=True)
+    if not (marker.exists() and marker.read_text() == want):
+        shutil.rmtree(path, ignore_errors=True)
+        path.mkdir(parents=True)
+        build(path)
+        marker.write_text(want)
+    return path
+
+
+def _derived_log(sf_dir: str, flavor=None) -> Path:
+    """The change log derived from the tree's events table, with
+    ``flavor`` applied (see ``_write_derived_log``), written once."""
+    log = _cache_dir(sf_dir, f"log-{flavor.__name__}" if flavor else "log")
+    _write_derived_log(sf_dir, str(log), flavor=flavor)
+    return log
+
+
+# phases of _derived_lake: (lo, hi) slices of the derived log's 4 files
+_WHOLE_LOG = ((0, None),)
+_TWO_PASSES = ((0, 2), (2, None))
+
+
+def _derived_lake(sf_dir: str, name: str, phases, *, flavor=None,
+                  hook=None, **cfg_kw) -> JobConfig:
+    """The lake ``name``, replayed pass by pass from slices of the derived
+    change log and built once.  Each ``(lo, hi)`` phase hard-links files
+    ``[lo:hi]`` of the sorted (``flavor``-ed) log into the lake's own log
+    and runs ``replay``; ``hook(cfg, stats)`` then runs with the replay
+    stats of the passes so far (rollbacks, deletes, extra batches and
+    asserts go there).  ``cfg_kw`` are JobConfig fields (16 partitions
+    unless given).  The build is keyed on phases, ``cfg_kw``, source log
+    and flavor, so changing any of them rebuilds the lake from scratch.
+    The closing replay is a no-op on a lake that is up to date."""
+    src = _derived_log(sf_dir, flavor)
+    root = _cache_dir(sf_dir, name)
+    cfg_kw = {"num_partitions": 16, **cfg_kw}
+    cfg = JobConfig(changelog_dir=str(root / "log"),
+                    lake_dir=str(root / "lake"), **cfg_kw)
+
+    def build(_):
+        os.makedirs(cfg.changelog_dir)
+        files = sorted(src.glob("batch-*.parquet"))
+        stats = []
+        for lo, hi in phases:
+            for f in files[lo:hi]:
+                os.link(f, Path(cfg.changelog_dir) / f.name)
+            stats.append(replay(cfg))
+            assert not stats[-1]["up_to_date"], f"{name}: {lo}:{hi} is empty"
+            if hook is not None:
+                hook(cfg, stats)
+
+    _build_once(root, {"phases": phases, "cfg": cfg_kw, "source": str(src),
+                       "flavor": flavor and flavor.__name__}, build)
+    replay(cfg)
     return cfg
+
+
+def _events_lake(sf_dir: str) -> JobConfig:
+    """The lake of the whole derived change log, replayed in one pass."""
+    return _derived_lake(sf_dir, "events", _WHOLE_LOG)
 
 
 def _push_heavy(fn):
@@ -184,37 +245,20 @@ def cdc_lww_merge(sf_dir: str):
     return final_state(cfg, sort=True)
 
 
+def _twophase_lake(sf_dir: str) -> JobConfig:
+    """Files 0-1, then files 2-3 of the derived log, as two passes."""
+    def resumed(cfg, stats):
+        assert stats[-1]["files"] == 2   # a pass applies only new files
+    return _derived_lake(sf_dir, "twophase", _TWO_PASSES, hook=resumed)
+
+
 def cdc_two_phase_replay(sf_dir: str):
     """Incremental consumption under the driver gate: the SAME derived
     change log applied in TWO separate replay passes (files 0-1, then
     files 2-3) into a dedicated lake — resume/checkpoint semantics, pass
     identity and cross-pass LWW merging all on the oracle path.  Final
     state must equal the one-pass lake's (same SQL winners oracle)."""
-    src = _events_lake(sf_dir)   # reuse the derived change files
-    root = Path(src.changelog_dir).parent
-    lake2 = str(root / "lake_twophase")
-    log_a, log_b = str(root / "log_a"), str(root / "log_b")
-    marker = Path(root / "_twophase_done")
-    if not marker.exists():
-        shutil.rmtree(lake2, ignore_errors=True)
-        shutil.rmtree(log_a, ignore_errors=True)
-        shutil.rmtree(log_b, ignore_errors=True)
-        os.makedirs(log_a), os.makedirs(log_b)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        for i, f in enumerate(files):
-            os.link(f, Path(log_a if i < 2 else log_b) / f.name)
-        cfg = JobConfig(changelog_dir=log_a, lake_dir=lake2, num_partitions=16)
-        s1 = replay(cfg)
-        assert not s1["up_to_date"]
-        # phase 2: the remaining files "arrive"
-        for f in sorted(Path(log_b).glob("batch-*.parquet")):
-            os.link(f, Path(log_a) / f.name)
-        s2 = replay(cfg)
-        assert s2["files"] == len(files) - 2
-        marker.touch()
-    cfg = JobConfig(changelog_dir=log_a, lake_dir=lake2, num_partitions=16)
-    replay(cfg)   # no-op (idempotent); keeps the query re-runnable
-    return final_state(cfg, sort=True)
+    return final_state(_twophase_lake(sf_dir), sort=True)
 
 
 def cdc_time_travel(sf_dir: str):
@@ -224,33 +268,8 @@ def cdc_time_travel(sf_dir: str):
     pass — reconstruction purely from retained manifest records + their
     pinned state files (``read_lake(as_of=...)``), no re-derivation.
     Oracle: LWW winners over the lsn prefix files 0-1 own."""
-    src = _events_lake(sf_dir)   # reuse the derived change files
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_timetravel")
-    log_t = str(root / "log_tt")
-    marker = Path(root / "_timetravel_done")
-
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log_t, lake_dir=lake,
-                         num_partitions=16, retain_passes=1)
-
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log_t, ignore_errors=True)
-        os.makedirs(log_t)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        for f in files[:2]:
-            os.link(f, Path(log_t) / f.name)
-        cfg = mk_cfg()
-        s1 = replay(cfg)
-        assert not s1["up_to_date"]
-        for f in files[2:]:
-            os.link(f, Path(log_t) / f.name)
-        replay(cfg)
-        marker.touch()
-    cfg = mk_cfg()
-    replay(cfg)   # no-op (idempotent); keeps the query re-runnable
     from migration_pair_ray.state.manifest import CheckpointStore
+    cfg = _derived_lake(sf_dir, "timetravel", _TWO_PASSES, retain_passes=1)
     seqs = CheckpointStore(cfg.checkpoint_dir).pass_seqs()
     first_pass = min(seqs, key=seqs.get)
     return final_state(cfg, sort=True, as_of=first_pass)
@@ -265,36 +284,14 @@ def cdc_rollback(sf_dir: str):
     un-consumed, so file 2 stays committed and excluded.  Oracle: LWW
     winners over the lsn ranges files 0, 1 and 3 own (file 2's range
     carved out)."""
-    src = _events_lake(sf_dir)   # reuse the derived change files
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_rollback")
-    log_r = str(root / "log_rb")
-    marker = Path(root / "_rollback_done")
+    from migration_pair_ray.pipelines.compact import rollback_to
 
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log_r, lake_dir=lake,
-                         num_partitions=16, retain_passes=2)
+    def roll_back(cfg, stats):
+        if len(stats) == 2:
+            rollback_to(cfg, stats[0]["pass_id"])
 
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log_r, ignore_errors=True)
-        os.makedirs(log_r)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        cfg = mk_cfg()
-        for f in files[:2]:
-            os.link(f, Path(log_r) / f.name)
-        s1 = replay(cfg)
-        assert not s1["up_to_date"]
-        os.link(files[2], Path(log_r) / files[2].name)
-        replay(cfg)
-        from migration_pair_ray.pipelines.compact import rollback_to
-        rollback_to(cfg, s1["pass_id"])
-        for f in files[3:]:
-            os.link(f, Path(log_r) / f.name)
-        replay(cfg)
-        marker.touch()
-    cfg = mk_cfg()
-    replay(cfg)   # no-op (idempotent); keeps the query re-runnable
+    cfg = _derived_lake(sf_dir, "rollback", ((0, 2), (2, 3), (3, None)),
+                        hook=roll_back, retain_passes=2)
     return final_state(cfg, sort=True)
 
 
@@ -306,34 +303,26 @@ def cdc_wire_forms(sf_dir: str):
     reconciles int-ms with timestamp files, normalize casts per batch,
     and the merge widens int16 → int32.  Oracle mirrors the ms truncation
     on the lsn prefix the wire file owns."""
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_wire")
-    log_w = str(root / "log_wire")
-    marker = Path(root / "_wire_done")
+    src = _derived_log(sf_dir)
+    root = _cache_dir(sf_dir, "wire")
+    cfg = JobConfig(changelog_dir=str(root / "log"),
+                    lake_dir=str(root / "lake"), num_partitions=16)
 
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log_w, lake_dir=lake,
-                         num_partitions=16)
-
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log_w, ignore_errors=True)
-        os.makedirs(log_w)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
+    def write_log(_):
+        os.makedirs(cfg.changelog_dir)
+        files = sorted(src.glob("batch-*.parquet"))
         t = pq.read_table(str(files[0]))
         ms = pc.divide(pc.cast(t.column("ts"), pa.int64()),
                        pa.scalar(1000, pa.int64()))
         t = t.set_column(t.schema.get_field_index("ts"), "ts", ms)
         t = t.set_column(t.schema.get_field_index("turn_idx"), "turn_idx",
                          pc.cast(t.column("turn_idx"), pa.int16()))
-        pq.write_table(t, str(Path(log_w) / files[0].name))
+        pq.write_table(t, str(Path(cfg.changelog_dir) / files[0].name))
         for f in files[1:]:
-            os.link(f, Path(log_w) / f.name)
-        replay(mk_cfg())
-        marker.touch()
-    cfg = mk_cfg()
-    replay(cfg)   # no-op (idempotent)
+            os.link(f, Path(cfg.changelog_dir) / f.name)
+
+    _build_once(root, {"source": str(src)}, write_log)
+    replay(cfg)   # one pass over the whole log; a no-op once applied
     return final_state(cfg, sort=True)
 
 
@@ -355,47 +344,27 @@ def cdc_txn_boundary(sf_dir: str):
     (commit markers for txns with ``t % 10 != 3``; the rest stay aborted
     in the pending store forever).  Final state must equal LWW winners
     over autocommit + committed-txn events only."""
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_txn")
-    log_full = str(root / "log_txn_full")
-    log = str(root / "log_txn")
-    done = Path(root / "_txn_done")
+    n = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
+    ids = np.arange((n - 1) // 7 + 1, dtype=np.int64)
+    ids = ids[ids % 10 != 3]          # t % 10 == 3 never commits
 
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log, lake_dir=lake,
-                         num_partitions=16, txn_boundary=True)
-
-    if not done.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log_full, ignore_errors=True)
-        shutil.rmtree(log, ignore_errors=True)
-        _write_derived_log(sf_dir, log_full, flavor=_txn_flavor)
-        os.makedirs(log)
-        files = sorted(Path(log_full).glob("batch-*.parquet"))
-        for f in files[:2]:
-            os.link(f, Path(log) / f.name)
-        cfg = mk_cfg()
-        s1 = replay(cfg)
-        assert s1["txn_held"] > 0 and s1["txn_markers"] == 0
-        # phase 2: the rest of the log + the commit markers arrive
-        for f in files[2:]:
-            os.link(f, Path(log) / f.name)
-        n = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-        ids = np.arange((n - 1) // 7 + 1, dtype=np.int64)
-        ids = ids[ids % 10 != 3]          # t % 10 == 3 never commits
+    def commit_markers(cfg, stats):
+        s = stats[-1]
+        if len(stats) == 2:
+            assert s["txn_markers"] == len(ids) and s["txn_held"] > 0
+            return
+        assert s["txn_held"] > 0 and s["txn_markers"] == 0
+        # the markers arrive with the second phase's files
         mk = pa.table({
             "op": pa.array(["C"] * len(ids), pa.string()),
             "lsn": pa.array(n + ids, pa.int64()),
             "txn_id": pa.array(np.char.add("t", ids.astype("U12")).tolist(),
                                pa.string()),
         })
-        pq.write_table(mk, f"{log}/batch-00009-markers.parquet")
-        s2 = replay(mk_cfg())
-        assert s2["txn_markers"] == len(ids) and s2["txn_held"] > 0
-        done.touch()
-    cfg = mk_cfg()
-    replay(cfg)   # no-op (idempotent); keeps the query re-runnable
+        pq.write_table(mk, f"{cfg.changelog_dir}/batch-00009-markers.parquet")
+
+    cfg = _derived_lake(sf_dir, "txn", _TWO_PASSES, flavor=_txn_flavor,
+                        hook=commit_markers, txn_boundary=True)
     return final_state(cfg, sort=True)
 
 
@@ -406,35 +375,15 @@ def cdc_delete_where(sf_dir: str):
     role = 'purchase' — the delete travels as a regular change batch
     through the same replay machinery.  Oracle: LWW winners minus the
     predicate matches."""
-    import pyarrow.compute as _pc
     from migration_pair_ray.pipelines.deletes import delete_where
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_delete")
-    log_d = str(root / "log_delete")
-    marker = Path(root / "_delete_done")
 
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log_d, lake_dir=lake,
-                         num_partitions=16)
-
-    def pred(t: pa.Table) -> pa.Array:
-        return _pc.fill_null(_pc.equal(t.column("role"), "purchase"), False)
-
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log_d, ignore_errors=True)
-        os.makedirs(log_d)
-        for f in sorted(Path(src.changelog_dir).glob("batch-*.parquet")):
-            os.link(f, Path(log_d) / f.name)
-        cfg = mk_cfg()
-        replay(cfg)
-        s = delete_where(cfg, pred, tag="purge-purchase")
+    def purge(cfg, stats):
+        s = delete_where(cfg, lambda t: pc.fill_null(
+            pc.equal(t.column("role"), "purchase"), False),
+            tag="purge-purchase")
         assert s["applied"] and s["tombstones"] > 0
-        marker.touch()
-    cfg = mk_cfg()
-    # idempotent: same lake signature → the delete file already exists
-    delete_where(cfg, pred, tag="purge-purchase")
+
+    cfg = _derived_lake(sf_dir, "delete", _WHOLE_LOG, hook=purge)
     return final_state(cfg, sort=True)
 
 
@@ -449,29 +398,12 @@ def cdc_ttl_expiry(sf_dir: str):
     through the regular replay machinery.  Oracle: LWW winners at or
     after the cutoff."""
     from migration_pair_ray.pipelines.deletes import expire_before
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    lake, log_t = str(root / "lake_ttl"), str(root / "log_ttl")
-    marker = Path(root / "_ttl_done")
 
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log_t, lake_dir=lake,
-                         num_partitions=16)
-
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log_t, ignore_errors=True)
-        os.makedirs(log_t)
-        for f in sorted(Path(src.changelog_dir).glob("batch-*.parquet")):
-            os.link(f, Path(log_t) / f.name)
-        cfg = mk_cfg()
-        replay(cfg)
+    def expire(cfg, stats):
         s = expire_before(cfg, _TTL_CUTOFF_US)
         assert s["applied"] and s["tombstones"] > 0
-        marker.touch()
-    cfg = mk_cfg()
-    # idempotent: same lake signature → the expiry file already exists
-    expire_before(cfg, _TTL_CUTOFF_US)
+
+    cfg = _derived_lake(sf_dir, "ttl", _WHOLE_LOG, hook=expire)
     return final_state(cfg, sort=True)
 
 
@@ -484,23 +416,15 @@ def cdc_jsonl_ingest(sf_dir: str):
     envelope's ``ts_ms`` implies."""
     import duckdb
     from migration_pair_ray.sources.jsonl_log import ingest_jsonl_log
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_jsonl")
-    env_dir = str(root / "envelopes")
-    log_j = str(root / "log_jsonl")
-    marker = Path(root / "_jsonl_done")
+    src = _derived_log(sf_dir)
+    root = _cache_dir(sf_dir, "jsonl")
+    env_dir = root / "envelopes"
+    cfg = JobConfig(changelog_dir=str(root / "log"),
+                    lake_dir=str(root / "lake"), num_partitions=16)
 
-    def mk_cfg() -> JobConfig:
-        return JobConfig(changelog_dir=log_j, lake_dir=lake,
-                         num_partitions=16)
-
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(env_dir, ignore_errors=True)
-        shutil.rmtree(log_j, ignore_errors=True)
-        os.makedirs(env_dir)
-        for f in sorted(Path(src.changelog_dir).glob("batch-*.parquet")):
+    def write_envelopes(_):
+        env_dir.mkdir()
+        for f in sorted(src.glob("batch-*.parquet")):
             has_tool = "tool" in pq.read_schema(str(f)).names
             tool_expr = ", tool := tool" if has_tool else ""
             pack = (f"struct_pack(conv_id := conv_id, turn_idx := turn_idx, "
@@ -513,10 +437,9 @@ def cdc_jsonl_ingest(sf_dir: str):
                              epoch_ms(ts) AS ts_ms, lsn
                       FROM read_parquet('{f}') ORDER BY lsn)
                 TO '{env_dir}/{f.stem}.jsonl' (FORMAT JSON)""")
-        ingest_jsonl_log(mk_cfg(), env_dir)
-        marker.touch()
-    cfg = mk_cfg()
-    ingest_jsonl_log(cfg, env_dir)   # no-op (idempotent)
+
+    _build_once(root, {"source": str(src)}, write_envelopes)
+    ingest_jsonl_log(cfg, str(env_dir))   # a no-op once ingested
     return final_state(cfg, sort=True)
 
 
@@ -648,9 +571,9 @@ def conv_near_dup(sf_dir: str, threshold: float = 0.5):
     # without pinning the full set in the object store — the same
     # spill-not-pin stance as corpus_curation (at 10^9 conversations a
     # .materialize() here would pin every transcript byte)
-    ckpt = f"/tmp/mpr_queries/{Path(sf_dir).name}/conv_near_dup_ckpt"
     docs = checkpoint_parquet(
-        tr.map_batches(to_doc, batch_format="pyarrow"), ckpt)
+        tr.map_batches(to_doc, batch_format="pyarrow"),
+        str(_cache_dir(sf_dir, "conv_near_dup_ckpt")))
     kept = ngram_jaccard_dedup(docs, threshold=threshold, n=5,
                                n_perm=64, n_bands=64)
 
@@ -1346,7 +1269,7 @@ def lineitem_price_bands(sf_dir: str):
 def events_csv_roundtrip(sf_dir: str):
     """CSV sink + source parity (reference S3/S4): export events to CSV,
     read it back, aggregate — equals the same aggregate from Parquet."""
-    out_dir = f"/tmp/mpr_queries/{Path(sf_dir).name}/events_csv"
+    out_dir = str(_cache_dir(sf_dir, "events_csv"))
     shutil.rmtree(out_dir, ignore_errors=True)
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "event_type", "value"])
@@ -1486,9 +1409,6 @@ def doc_near_dup_probe(sf_dir: str):
                                                  minhash_probe_incremental)
     n = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     half = n // 2
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    tag = f"{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}"
-    idx_dir = f"/tmp/mpr_queries/{tag}/mh_idx"
 
     def select(lo: int | None, hi: int | None):
         def f(t: pa.Table) -> pa.Table:
@@ -1500,8 +1420,9 @@ def doc_near_dup_probe(sf_dir: str):
                                 columns=["doc_id", "text"])
                 .map_batches(f, batch_format="pyarrow"))
 
-    if not os.path.exists(f"{idx_dir}/_meta.json"):
-        build_minhash_index(select(None, half), idx_dir)
+    idx_dir = str(_build_once(
+        _cache_dir(sf_dir, "mh_idx"), {"half": half},
+        lambda d: build_minhash_index(select(None, half), str(d))))
     pairs = minhash_probe_incremental(select(half, None), idx_dir,
                                       threshold=0.8)
     return pairs.select(["a", "b"])
@@ -1530,9 +1451,6 @@ def doc_dedup_incremental(sf_dir: str):
                                                  exact_dedup_incremental)
     n = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     half = n // 2
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    tag = f"{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}"
-    idx_dir = f"/tmp/mpr_queries/{tag}/fp_idx"
 
     def select(lo: int | None, hi: int | None):
         def f(t: pa.Table) -> pa.Table:
@@ -1544,8 +1462,9 @@ def doc_dedup_incremental(sf_dir: str):
                                 columns=["doc_id", "text"])
                 .map_batches(f, batch_format="pyarrow"))
 
-    if not os.path.exists(f"{idx_dir}/_meta.json"):
-        build_fingerprint_index(select(None, half), idx_dir)
+    idx_dir = str(_build_once(
+        _cache_dir(sf_dir, "fp_idx"), {"half": half},
+        lambda d: build_fingerprint_index(select(None, half), str(d))))
     kept = exact_dedup_incremental(select(half, None), idx_dir, tag="b1")
     return kept.select_columns(["doc_id"]).sort("doc_id")
 
@@ -1684,10 +1603,15 @@ def embed_topk_bruteforce(sf_dir: str):
     return t
 
 
+def _embeddings(sf_dir: str) -> "rd.Dataset":
+    return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                           columns=["vec_id", "embedding"])
+
+
 def embed_knn_ivf(sf_dir: str):
     """HARD-oracle check of the persisted IVF layout: the corpus is
-    written bucket-partitioned once (cached under /tmp keyed by source
-    size+mtime), then probed with ``n_probe = n_clusters`` — an exhaustive
+    written bucket-partitioned once (cached per tree by ``_cache_dir``),
+    then probed with ``n_probe = n_clusters`` — an exhaustive
     probe reads every bucket's files, so the result EQUALS the brute-force
     top-k and the SQL oracle checks the whole build→partition→probe→merge
     machinery exactly.  The approximate setting (n_probe < n_clusters,
@@ -1696,14 +1620,9 @@ def embed_knn_ivf(sf_dir: str):
     from migration_pair_ray.stages.similarity import ivf_build, ivf_probe
     q = pq.read_table(f"{sf_dir}/embeddings.parquet").slice(0, 2)
     queries = np.array(q.column("embedding").to_pylist(), dtype=np.float32)
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    index_dir = str(Path("/tmp/mpr_queries")
-                    / f"ivf-{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}")
-    if not Path(index_dir, "centroids.npy").exists():
-        shutil.rmtree(index_dir, ignore_errors=True)
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        ivf_build(ds, index_dir, n_clusters=16)
+    index_dir = str(_build_once(
+        _cache_dir(sf_dir, "ivf"), {"n_clusters": 16},
+        lambda d: ivf_build(_embeddings(sf_dir), str(d), n_clusters=16)))
     return ivf_probe(index_dir, queries, k=10, n_probe=16, round_to=4)
 
 
@@ -1720,16 +1639,9 @@ def embed_knn_hnsw(sf_dir: str):
     from migration_pair_ray.stages.similarity import hnsw_build, hnsw_probe
     q = pq.read_table(f"{sf_dir}/embeddings.parquet").slice(0, 2)
     queries = np.array(q.column("embedding").to_pylist(), dtype=np.float32)
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    index_dir = str(Path("/tmp/mpr_queries")
-                    / f"hnsw-{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}")
-    # _meta.json is the build's commit marker (written LAST) — a crashed
-    # build is invisible and rebuilds here
-    if not Path(index_dir, "_meta.json").exists():
-        shutil.rmtree(index_dir, ignore_errors=True)
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-        hnsw_build(ds, index_dir, n_clusters=8)
+    index_dir = str(_build_once(
+        _cache_dir(sf_dir, "hnsw"), {"n_clusters": 8},
+        lambda d: hnsw_build(_embeddings(sf_dir), str(d), n_clusters=8)))
     return hnsw_probe(index_dir, queries, k=10, n_probe=8,
                       ef_search=1 << 20, round_to=4)
 
@@ -2014,10 +1926,7 @@ def corpus_curation(sf_dir: str, checkpoint: str = "disk"):
     # variant for small corpora.
     ds = exact_dedup(ds)
     if checkpoint == "disk":
-        st = os.stat(f"{sf_dir}/documents.parquet")
-        ckpt = str(Path("/tmp/mpr_queries")
-                   / f"curation-{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}")
-        ds = checkpoint_parquet(ds, ckpt)
+        ds = checkpoint_parquet(ds, str(_cache_dir(sf_dir, "curation")))
     else:
         ds = ds.materialize()
     ds = minhash_lsh_dedup(ds, threshold=0.8)
@@ -2441,6 +2350,11 @@ def doc_tfidf_top(sf_dir: str):
     return tfidf_top_term(ds, n_docs).sort("doc_id")
 
 
+def _feed_lake(sf_dir: str) -> JobConfig:
+    """The changefeed's checkpoint state: files 0-1 of the derived log."""
+    return _derived_lake(sf_dir, "feed", ((0, 2),))
+
+
 @_push_heavy
 def cdc_changefeed(sf_dir: str):
     """Changefeed emission — the downstream-consumer surface of a CDC
@@ -2452,22 +2366,7 @@ def cdc_changefeed(sf_dir: str):
     join per partition, **zero exchange** (nothing moves but the changed
     rows).  Keys whose winner is unchanged emit nothing."""
     from migration_pair_ray.pipelines.feed import diff_lakes
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    log_pre, lake_pre = str(root / "log_feed"), str(root / "lake_feed")
-    marker = root / "_feed_done"
-    if not marker.exists():
-        shutil.rmtree(log_pre, ignore_errors=True)
-        shutil.rmtree(lake_pre, ignore_errors=True)
-        os.makedirs(log_pre)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        for f in files[:2]:
-            os.link(f, Path(log_pre) / f.name)
-        marker.touch()
-    pre_cfg = JobConfig(changelog_dir=log_pre, lake_dir=lake_pre,
-                        num_partitions=16)
-    replay(pre_cfg)   # idempotent no-op when up to date
-    return (diff_lakes(pre_cfg, src)
+    return (diff_lakes(_feed_lake(sf_dir), _events_lake(sf_dir))
             .map_batches(lambda t: t.select(
                 ["conv_id", "turn_idx", "change",
                  "before_text", "after_text"]),
@@ -2560,25 +2459,21 @@ def embed_knn_ivf_incremental(sf_dir: str):
                                                       ivf_probe)
     q = pq.read_table(f"{sf_dir}/embeddings.parquet").slice(0, 2)
     queries = np.array(q.column("embedding").to_pylist(), dtype=np.float32)
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    index_dir = str(Path("/tmp/mpr_queries")
-                    / f"ivfinc-{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}")
-    if not Path(index_dir, "_appended").exists():
-        shutil.rmtree(index_dir, ignore_errors=True)
-        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
+    def half(t: pa.Table, even: bool) -> pa.Table:
+        ids = t.column("vec_id").to_numpy(zero_copy_only=False)
+        return t.filter(pa.array((ids % 2 == 0) == even))
 
-        def half(t: pa.Table, even: bool) -> pa.Table:
-            ids = t.column("vec_id").to_numpy(zero_copy_only=False)
-            return t.filter(pa.array((ids % 2 == 0) == even))
-
+    def build(d):
+        ds = _embeddings(sf_dir)
         ivf_build(ds.map_batches(lambda t: half(t, True),
                                  batch_format="pyarrow"),
-                  index_dir, n_clusters=16)
+                  str(d), n_clusters=16)
         ivf_append(ds.map_batches(lambda t: half(t, False),
                                   batch_format="pyarrow"),
-                   index_dir, tag="odd-half")
-        Path(index_dir, "_appended").touch()
+                   str(d), tag="odd-half")
+
+    index_dir = str(_build_once(_cache_dir(sf_dir, "ivfinc"),
+                                {"n_clusters": 16}, build))
     return ivf_probe(index_dir, queries, k=10, n_probe=16, round_to=4)
 
 
@@ -2936,12 +2831,7 @@ def cdc_incremental_agg(sf_dir: str):
     'maintained view == recomputed view'.  Counts that reach zero drop
     out (their conversation was fully tombstoned)."""
     from ray.data.aggregate import Sum
-    cdc_changefeed(sf_dir)               # builds the checkpoint lake once
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    pre_cfg = JobConfig(changelog_dir=str(root / "log_feed"),
-                        lake_dir=str(root / "lake_feed"),
-                        num_partitions=16)
+    pre_cfg, src = _feed_lake(sf_dir), _events_lake(sf_dir)
 
     def base_partial(t: pa.Table) -> pa.Table:
         return (pa.table({"conv_id": t.column("conv_id"),
@@ -3119,34 +3009,26 @@ def cdc_log_compaction(sf_dir: str):
     DISTRIBUTED (read_lake -> write_parquet, renamed into the append-only
     batch-* contract); the oracle recomputes from the uncompacted stream,
     so the check is compaction-lossless-ness end to end."""
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    # checkpoint state over files 0-1: built (idempotently) by the
-    # changefeed machinery; reuse it
-    cdc_changefeed(sf_dir)
-    pre_cfg = JobConfig(changelog_dir=str(root / "log_feed"),
-                        lake_dir=str(root / "lake_feed"),
-                        num_partitions=16)
-    log_c, lake_c = str(root / "log_compacted"), str(root / "lake_compacted")
-    marker = root / "_compacted_done"
-    if not marker.exists():
-        shutil.rmtree(log_c, ignore_errors=True)
-        shutil.rmtree(lake_c, ignore_errors=True)
-        os.makedirs(log_c)
-        tmp = str(root / "_compact_tmp")
-        shutil.rmtree(tmp, ignore_errors=True)
-        read_lake(pre_cfg).write_parquet(tmp)
-        for i, f in enumerate(sorted(Path(tmp).glob("*.parquet"))):
-            os.replace(f, Path(log_c) / f"batch-00000-c{i:04d}.parquet")
-        shutil.rmtree(tmp, ignore_errors=True)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        for f in files[2:]:
-            os.link(f, Path(log_c) / f.name)
-        marker.touch()
-    cfg_c = JobConfig(changelog_dir=log_c, lake_dir=lake_c,
-                      num_partitions=16)
-    replay(cfg_c)
-    return final_state(cfg_c, sort=True)
+    src = _derived_log(sf_dir)
+    root = _cache_dir(sf_dir, "compacted")
+    cfg = JobConfig(changelog_dir=str(root / "log"),
+                    lake_dir=str(root / "lake"), num_partitions=16)
+
+    def write_log(_):
+        # the prefix's winners are the state of the changefeed checkpoint
+        tmp = root / "tmp"
+        read_lake(_feed_lake(sf_dir)).write_parquet(str(tmp))
+        os.makedirs(cfg.changelog_dir)
+        for i, f in enumerate(sorted(tmp.glob("*.parquet"))):
+            os.replace(f, Path(cfg.changelog_dir)
+                       / f"batch-00000-c{i:04d}.parquet")
+        shutil.rmtree(tmp)
+        for f in sorted(src.glob("batch-*.parquet"))[2:]:
+            os.link(f, Path(cfg.changelog_dir) / f.name)
+
+    _build_once(root, {"source": str(src), "prefix": 2}, write_log)
+    replay(cfg)   # one pass over the whole log; a no-op once applied
+    return final_state(cfg, sort=True)
 
 
 @_push_heavy
@@ -3160,7 +3042,7 @@ def cdc_snapshot_jsonl(sf_dir: str):
     from migration_pair_ray.pipelines.snapshot import snapshot
     from migration_pair_ray.sources.readers import read_jsonl
     cfg = _events_lake(sf_dir)
-    out_dir = f"/tmp/mpr_queries/{Path(sf_dir).name}/state_jsonl"
+    out_dir = str(_cache_dir(sf_dir, "state_jsonl"))
     shutil.rmtree(out_dir, ignore_errors=True)
     snapshot(cfg, out_dir, fmt="jsonl", unix_ms_ts=True, sort=False)
     schema = pa.schema([
@@ -3182,65 +3064,22 @@ def cdc_quarantine_stats(sf_dir: str):
     oracle pins BOTH what was rejected and that rejects never reached the
     merged state."""
     from migration_pair_ray.stages.quarantine import quarantine_counts
-    st = os.stat(f"{sf_dir}/events.parquet")
-    tag = f"{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}"
-    root = Path("/tmp/mpr_queries") / tag / "quar"
-    log_dir, lake_dir = str(root / "log"), str(root / "lake")
-    q_dir = str(root / "q")
-    os.makedirs(log_dir, exist_ok=True)
-    done_marker = Path(log_dir) / "_COMPLETE"
-    if not done_marker.exists():
-        for stale in Path(log_dir).glob("batch-*.parquet"):
-            stale.unlink()
-        n = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-        per = (n + 3) // 4
 
-        def corrupt(t: pa.Table) -> pa.Table:
-            lsn = t.column("lsn").to_numpy(zero_copy_only=False)
-            nk = lsn % 97 == 13
-            bo = ~nk & (lsn % 101 == 7)
-            conv = pc.if_else(pa.array(nk), pa.scalar(None, pa.string()),
-                              t.column("conv_id"))
-            op = pc.if_else(pa.array(bo), pa.scalar("X", pa.string()),
-                            t.column("op"))
-            t = t.set_column(t.schema.get_field_index("conv_id"),
-                             "conv_id", conv)
-            return t.set_column(t.schema.get_field_index("op"), "op", op)
+    def corrupt(t: pa.Table) -> pa.Table:
+        lsn = t.column("lsn").to_numpy(zero_copy_only=False)
+        nk = lsn % 97 == 13
+        bo = ~nk & (lsn % 101 == 7)
+        conv = pc.if_else(pa.array(nk), pa.scalar(None, pa.string()),
+                          t.column("conv_id"))
+        op = pc.if_else(pa.array(bo), pa.scalar("X", pa.string()),
+                        t.column("op"))
+        t = t.set_column(t.schema.get_field_index("conv_id"),
+                         "conv_id", conv)
+        return t.set_column(t.schema.get_field_index("op"), "op", op)
 
-        def assign_file(t: pa.Table) -> pa.Table:
-            f = pc.cast(pc.floor(pc.divide(
-                pc.cast(t.column("lsn"), pa.float64()), float(per))),
-                pa.int32())
-            return t.append_column("__f", f)
-
-        def write_file(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return pa.table({"rows": pa.array([], pa.int64())})
-            i = int(g.column("__f")[0].as_py())
-            g = g.drop_columns(["__f"]).sort_by([("lsn", "ascending")])
-            lo = int(g.column("lsn")[0].as_py())
-            hi = int(g.column("lsn")[-1].as_py())
-            if i == 0:
-                g = g.drop_columns(["tool"])
-            path = f"{log_dir}/batch-{i:05d}-{lo:012d}-{hi:012d}.parquet"
-            tmp = f"{path}.tmp.{os.getpid()}"
-            pq.write_table(g, tmp)
-            os.replace(tmp, path)
-            return pa.table({"rows": pa.array([g.num_rows], pa.int64())})
-
-        written = (rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "user_id", "event_type", "props", "ts"])
-            .map_batches(_derive_changes, batch_format="pyarrow")
-            .map_batches(corrupt, batch_format="pyarrow")
-            .map_batches(assign_file, batch_format="pyarrow")
-            .groupby("__f").map_groups(write_file, batch_format="pyarrow")
-            .take_all())
-        assert sum(r["rows"] for r in written) == n
-        done_marker.touch()
-    cfg = JobConfig(changelog_dir=log_dir, lake_dir=lake_dir,
-                    num_partitions=16, quarantine_dir=q_dir)
-    replay(cfg)   # no-op when already up to date
+    q_dir = str(_cache_dir(sf_dir, "quar") / "q")
+    cfg = _derived_lake(sf_dir, "quar", _WHOLE_LOG, flavor=corrupt,
+                        quarantine_dir=q_dir)
     counts = quarantine_counts(q_dir)
     state_rows = final_state(cfg, sort=False).count()
     out = pa.table({
@@ -3415,6 +3254,7 @@ def _patch_flavor(tool_from: int):
             "op": pc.if_else(any_p, "P", t.column("op")),
             "lsn": t.column("lsn"),
         })
+    flavor.__name__ = f"patch_from_{tool_from}"
     return flavor
 
 
@@ -3498,12 +3338,10 @@ def cdc_multi_source(sf_dir: str):
     ``tool`` column, the single-log delivered form), so the merge must
     widen schemas across files AND sources."""
     from migration_pair_ray.pipelines.multi import replay_multi
-    st = os.stat(f"{sf_dir}/events.parquet")
-    tag = f"{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}"
-    root = Path("/tmp/mpr_queries") / tag
-    dir0, dir1 = str(root / "log_msrc0"), str(root / "log_msrc1")
+    root = _cache_dir(sf_dir, "multi")
+    dir0, dir1 = str(root / "log0"), str(root / "log1")
     _write_parity_logs(sf_dir, dir0, dir1)
-    cfg = JobConfig(lake_dir=str(root / "lake_multi"), num_partitions=16)
+    cfg = JobConfig(lake_dir=str(root / "lake"), num_partitions=16)
     replay_multi(cfg, [dir0, dir1])
     return final_state(cfg)
 
@@ -3519,19 +3357,9 @@ def cdc_cell_replay(sf_dir: str):
     must agree.  The file split boundary equals ``tool_from`` (both are
     ceil(n/4)), so file 0's dropped ``tool`` column reproduces the
     oracle's schema-evolution epoch exactly."""
-    st = os.stat(f"{sf_dir}/events.parquet")
-    tag = f"{Path(sf_dir).name}-{st.st_size}-{int(st.st_mtime)}"
-    root = Path("/tmp/mpr_queries") / tag
-    log_dir, lake_dir = str(root / "cell-log"), str(root / "cell-lake")
     n = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-    if not (Path(log_dir) / "_COMPLETE").exists():
-        # wipe a lake built from a partially-written log (same crash rule
-        # as _write_derived_log's own marker)
-        shutil.rmtree(lake_dir, ignore_errors=True)
-    _write_derived_log(sf_dir, log_dir, flavor=_patch_flavor(-(-n // 4)))
-    cfg = JobConfig(changelog_dir=log_dir, lake_dir=lake_dir,
-                    num_partitions=16, merge_kernel="cell")
-    replay(cfg)   # no-op when already up to date
+    cfg = _derived_lake(sf_dir, "cell", _WHOLE_LOG,
+                        flavor=_patch_flavor(-(-n // 4)), merge_kernel="cell")
     return final_state(cfg, sort=True)
 
 
@@ -3573,6 +3401,21 @@ def cdc_patch_merge(sf_dir: str):
 _BRANCH_TS_US = 1735689600000000      # 2025-01-01, above every event ts
 
 
+def _branch_batch(conv: str, text: str, lsn0: int, n: int) -> pa.Table:
+    """``n`` branch-only upserts of turns 0..n-1 of ``conv`` at a ts that
+    dominates every event, with lsns from ``lsn0``."""
+    return pa.table({
+        "conv_id": pa.array([conv] * n, pa.string()),
+        "turn_idx": pa.array(range(n), pa.int32()),
+        "role": pa.array(["branch"] * n, pa.string()),
+        "text": pa.array([text] * n, pa.string()),
+        "tool": pa.array([None] * n, pa.string()),
+        "ts": pa.array([_BRANCH_TS_US] * n, pa.timestamp("us")),
+        "op": pa.array(["U"] * n, pa.string()),
+        "lsn": pa.array(range(lsn0, lsn0 + n), pa.int64()),
+    })
+
+
 def cdc_clone_branch(sf_dir: str):
     """Zero-copy lake branching (pipelines/clone): hardlink-clone the
     events lake, then replay a branch-only change batch (10 'branched'
@@ -3584,34 +3427,20 @@ def cdc_clone_branch(sf_dir: str):
     from dataclasses import replace as dc_replace
 
     from migration_pair_ray.pipelines.clone import clone_lake
-    from migration_pair_ray.pipelines.replay import final_state, replay
     cfg = _events_lake(sf_dir)
-    root = Path(cfg.lake_dir).parent
-    branch_lake, branch_log = root / "branch-lake", root / "branch-log"
-    marker = branch_log / "_COMPLETE"
-    if not marker.exists():
-        shutil.rmtree(branch_lake, ignore_errors=True)
-        shutil.rmtree(branch_log, ignore_errors=True)
-        branch_log.mkdir(parents=True)
+    root = _cache_dir(sf_dir, "branch")
+    bcfg = dc_replace(cfg, changelog_dir=str(root / "log"),
+                      lake_dir=str(root / "lake"))
+
+    def branch(_):
         n = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-        batch = pa.table({
-            "conv_id": pa.array(["c3"] * 10, pa.string()),
-            "turn_idx": pa.array(range(10), pa.int32()),
-            "role": pa.array(["branch"] * 10, pa.string()),
-            "text": pa.array(["branched"] * 10, pa.string()),
-            "tool": pa.array([None] * 10, pa.string()),
-            "ts": pa.array([_BRANCH_TS_US] * 10, pa.timestamp("us")),
-            "op": pa.array(["U"] * 10, pa.string()),
-            "lsn": pa.array([n + i for i in range(10)], pa.int64()),
-        })
-        tmp = branch_log / f"batch-90000.parquet.tmp.{os.getpid()}"
-        pq.write_table(batch, tmp)
-        os.replace(tmp, branch_log / "batch-90000.parquet")
-        clone_lake(cfg.lake_dir, str(branch_lake))
-        marker.touch()
-    bcfg = dc_replace(cfg, changelog_dir=str(branch_log),
-                      lake_dir=str(branch_lake))
-    replay(bcfg)          # idempotent; no-op on reuse
+        os.makedirs(bcfg.changelog_dir)
+        pq.write_table(_branch_batch("c3", "branched", n, 10),
+                       f"{bcfg.changelog_dir}/batch-90000.parquet")
+        clone_lake(cfg.lake_dir, bcfg.lake_dir)
+
+    _build_once(root, {"conv": "c3", "rows": 10}, branch)
+    replay(bcfg)          # applies the branch batch once; a no-op after
     return final_state(bcfg)
 
 
@@ -3627,40 +3456,25 @@ def cdc_branch_merge(sf_dir: str):
     from migration_pair_ray.pipelines.branch import merge_branch
     from migration_pair_ray.pipelines.clone import clone_lake
     cfg = _events_lake(sf_dir)
-    root = Path(cfg.lake_dir).parent
-    marker = root / "_branch_merge_done"
-    cfgs = {}
-    for side, conv, text, off in (("a", "c7", "merged-a", 100),
-                                  ("b", "c9", "merged-b", 200)):
-        log_d, lake_d = root / f"bm-log-{side}", root / f"bm-lake-{side}"
-        cfgs[side] = dc_replace(cfg, changelog_dir=str(log_d),
-                                lake_dir=str(lake_d))
-    if not marker.exists():
+    root = _cache_dir(sf_dir, "branch_merge")
+    sides = {"a": ("c7", "merged-a", 100), "b": ("c9", "merged-b", 200)}
+    cfgs = {side: dc_replace(cfg, changelog_dir=str(root / f"log-{side}"),
+                             lake_dir=str(root / f"lake-{side}"))
+            for side in sides}
+
+    def diverge_and_merge(_):
         n = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-        for side, conv, text, off in (("a", "c7", "merged-a", 100),
-                                      ("b", "c9", "merged-b", 200)):
+        for side, (conv, text, off) in sides.items():
             bcfg = cfgs[side]
-            shutil.rmtree(bcfg.lake_dir, ignore_errors=True)
-            shutil.rmtree(bcfg.changelog_dir, ignore_errors=True)
-            Path(bcfg.changelog_dir).mkdir(parents=True)
-            batch = pa.table({
-                "conv_id": pa.array([conv] * 8, pa.string()),
-                "turn_idx": pa.array(range(8), pa.int32()),
-                "role": pa.array(["branch"] * 8, pa.string()),
-                "text": pa.array([text] * 8, pa.string()),
-                "tool": pa.array([None] * 8, pa.string()),
-                "ts": pa.array([_BRANCH_TS_US] * 8, pa.timestamp("us")),
-                "op": pa.array(["U"] * 8, pa.string()),
-                "lsn": pa.array([n + off + i for i in range(8)], pa.int64()),
-            })
-            tmp = Path(bcfg.changelog_dir) / f"batch-91{off}.parquet.tmp"
-            pq.write_table(batch, tmp)
-            os.replace(tmp, Path(bcfg.changelog_dir) / f"batch-91{off}.parquet")
+            os.makedirs(bcfg.changelog_dir)
+            pq.write_table(_branch_batch(conv, text, n + off, 8),
+                           f"{bcfg.changelog_dir}/batch-91{off}.parquet")
             clone_lake(cfg.lake_dir, bcfg.lake_dir)
             replay(bcfg)
         merge_branch(cfgs["a"], cfgs["b"])
         merge_branch(cfgs["b"], cfgs["a"])
-        marker.touch()
+
+    _build_once(root, sides, diverge_and_merge)
     a = pa.Table.from_pandas(
         final_state(cfgs["a"], sort=True).to_pandas(), preserve_index=False)
     b = pa.Table.from_pandas(
@@ -3679,18 +3493,14 @@ def cdc_view_maintain(sf_dir: str):
     order, view winners == transform(source winners) — the oracle."""
     from migration_pair_ray.pipelines.view import (maintain_view,
                                                    make_filter_project)
-    cdc_two_phase_replay(sf_dir)          # builds the two-pass source lake
-    src0 = _events_lake(sf_dir)
-    root = Path(src0.changelog_dir).parent
-    src = JobConfig(changelog_dir=str(root / "log_a"),
-                    lake_dir=str(root / "lake_twophase"), num_partitions=16)
-    view = JobConfig(changelog_dir=str(root / "view_log"),
-                     lake_dir=str(root / "view_lake"), num_partitions=16)
+    root = _cache_dir(sf_dir, "view")
+    view = JobConfig(changelog_dir=str(root / "log"),
+                     lake_dir=str(root / "lake"), num_partitions=16)
     transform = make_filter_project(
         where=lambda t: pc.equal(pc.fill_null(t.column("role"), ""),
                                  "click"),
         derive=lambda t: {"text": pc.utf8_upper(t.column("text"))})
-    maintain_view(src, view, transform)   # idempotent: 0 pending on reuse
+    maintain_view(_twophase_lake(sf_dir), view, transform)  # idempotent
     return final_state(view, sort=True)
 
 
@@ -4373,32 +4183,18 @@ def cdc_mor_replay(sf_dir: str):
     equal the copy-on-write winners (same SQL oracle as cdc_lww_merge);
     the fixture asserts deltas actually exist so the fold is exercised,
     not skipped."""
-    src = _events_lake(sf_dir)   # reuse the derived change files
-    root = Path(src.changelog_dir).parent
-    lake = str(root / "lake_mor")
-    log = str(root / "log_mor")
-    marker = Path(root / "_mor_done")
-    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=16,
-                    mor_max_deltas=8)
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log, ignore_errors=True)
-        os.makedirs(log)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        for f in files[:2]:
-            os.link(f, Path(log) / f.name)
-        replay(cfg)
-        for f in files[2:]:
-            os.link(f, Path(log) / f.name)
-        replay(cfg)
-        from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
-        store = ManifestStore(cfg.manifest_dir)
-        n_deltas = sum(
-            len((store.read(pid) or {}).get("delta_files", []))
-            for pid in LakeMeta(lake).active_partition_ids(16))
-        assert n_deltas > 0, "MoR fixture produced no delta files"
-        marker.touch()
-    replay(cfg)   # no-op (idempotent); keeps the query re-runnable
+    from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
+
+    def has_deltas(cfg, stats):
+        if len(stats) == 2:
+            store = ManifestStore(cfg.manifest_dir)
+            n_deltas = sum(
+                len((store.read(pid) or {}).get("delta_files", []))
+                for pid in LakeMeta(cfg.lake_dir).active_partition_ids(16))
+            assert n_deltas > 0, "MoR fixture produced no delta files"
+
+    cfg = _derived_lake(sf_dir, "mor", _TWO_PASSES, hook=has_deltas,
+                        mor_max_deltas=8)
     return final_state(cfg, sort=True)
 
 
@@ -4411,33 +4207,22 @@ def cdc_feed_resume(sf_dir: str):
     cut."""
     from migration_pair_ray.pipelines.feed import ack_feed, read_feed
     from migration_pair_ray.state.manifest import CheckpointStore
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    # own fixture (not lake_twophase): the feed depends on seq-stamped
-    # pass checkpoints, so it must not inherit a lake a previous engine
-    # version built without them
-    log, lake = str(root / "log_feedresume"), str(root / "lake_feedresume")
-    marker = root / "_feedresume_done"
-    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=16)
-    if not marker.exists():
-        shutil.rmtree(lake, ignore_errors=True)
-        shutil.rmtree(log, ignore_errors=True)
-        os.makedirs(log)
-        files = sorted(Path(src.changelog_dir).glob("batch-*.parquet"))
-        for f in files[:2]:
-            os.link(f, Path(log) / f.name)
-        replay(cfg)
-        for f in files[2:]:
-            os.link(f, Path(log) / f.name)
-        replay(cfg)
-        marker.touch()
-    replay(cfg)   # idempotent no-op; keeps the query re-runnable
+    cfg = _derived_lake(sf_dir, "feedresume", _TWO_PASSES)
     seq1 = min(CheckpointStore(cfg.checkpoint_dir).pass_seqs().values())
     ack_feed(cfg, "driver-demo", seq1)  # monotone: rerun is a no-op
     ds, _ = read_feed(cfg, "driver-demo")
     return ds.map_batches(
         lambda t: t.drop_columns(["_pass_seq"]),
         batch_format="pyarrow").sort("lsn")
+
+
+def _follower(sf_dir: str, name: str) -> JobConfig:
+    """A follower lake of the events lake under a different layout: 8
+    salted-key partitions against the source's 16 conv-hash ones."""
+    root = _cache_dir(sf_dir, name)
+    return JobConfig(changelog_dir=str(root / "log"),
+                     lake_dir=str(root / "lake"),
+                     num_partitions=8, partition_mode="key")
 
 
 def cdc_replica(sf_dir: str):
@@ -4448,12 +4233,8 @@ def cdc_replica(sf_dir: str):
     the replica cursor makes the query a no-op re-run.  Oracle: the same
     LWW winners as the source (cdc_lww_merge)."""
     from migration_pair_ray.pipelines.feed import replicate
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    dst = JobConfig(changelog_dir=str(root / "log_replica"),
-                    lake_dir=str(root / "lake_replica"),
-                    num_partitions=8, partition_mode="key")
-    replicate(src, dst)
+    dst = _follower(sf_dir, "replica")
+    replicate(_events_lake(sf_dir), dst)
     return final_state(dst, sort=True)
 
 
@@ -4467,19 +4248,12 @@ def cdc_replica_repair(sf_dir: str):
     SQL oracle checks (the ghost keys must be GONE).  Negative paths
     (skipped-pass divergence, cell kernel, chunked layout, idempotence)
     are pytest-verified (tests/test_repair.py)."""
-    import pyarrow.parquet as _pq
-
     from migration_pair_ray.pipelines.feed import replicate
     from migration_pair_ray.pipelines.repair import repair_replica
     src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    dst = JobConfig(changelog_dir=str(root / "log_repairq"),
-                    lake_dir=str(root / "lake_repairq"),
-                    num_partitions=8, partition_mode="key")
-    marker = root / "_repairq_diverged"
-    if not marker.exists():
-        shutil.rmtree(dst.changelog_dir, ignore_errors=True)
-        shutil.rmtree(dst.lake_dir, ignore_errors=True)
+    dst = _follower(sf_dir, "repairq")
+
+    def diverge(_):
         replicate(src, dst)
         ghost = pa.table({
             "conv_id": pa.array(["zz-rogue", "zz-rogue"], pa.string()),
@@ -4492,11 +4266,11 @@ def cdc_replica_repair(sf_dir: str):
             "op": pa.array(["I", "I"], pa.string()),
             "lsn": pa.array([10**12, 10**12 + 1], pa.int64()),
         })
-        _pq.write_table(ghost,
-                        str(Path(dst.changelog_dir) / "batch-99999-rogue"
-                            ".parquet"))
+        pq.write_table(ghost,
+                       f"{dst.changelog_dir}/batch-99999-rogue.parquet")
         replay(dst)
-        marker.touch()
+
+    _build_once(_cache_dir(sf_dir, "repairq"), {"ghost_keys": 2}, diverge)
     s = repair_replica(src, dst)
     # first run repairs; re-runs audit clean and no-op (idempotent)
     assert s["repaired"] or s["bad_buckets"] == 0
@@ -4514,11 +4288,7 @@ def cdc_replica_verify(sf_dir: str):
     negative path (an injected divergence is caught) is pytest-verified
     (tests/test_feed.py)."""
     from migration_pair_ray.pipelines.feed import replicate, verify_replica
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    dst = JobConfig(changelog_dir=str(root / "log_replica"),
-                    lake_dir=str(root / "lake_replica"),
-                    num_partitions=8, partition_mode="key")
+    src, dst = _events_lake(sf_dir), _follower(sf_dir, "replica")
     replicate(dst=dst, src=src)   # no-op when the replica is caught up
     return verify_replica(src, dst)
 
@@ -4534,12 +4304,8 @@ def cdc_replica_bootstrap(sf_dir: str):
     truncated-source and late-pre-tombstone-event paths are
     pytest-verified (tests/test_feed.py)."""
     from migration_pair_ray.pipelines.feed import bootstrap_replica
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    dst = JobConfig(changelog_dir=str(root / "log_bootstrap"),
-                    lake_dir=str(root / "lake_bootstrap"),
-                    num_partitions=8, partition_mode="key")
-    bootstrap_replica(src, dst)   # no-op once the follower is live
+    dst = _follower(sf_dir, "bootstrap")
+    bootstrap_replica(_events_lake(sf_dir), dst)   # no-op once live
     return final_state(dst, sort=True)
 
 
@@ -4554,13 +4320,9 @@ def cdc_jsonl_roundtrip(sf_dir: str):
     (cursor acked, outputs skipped, replay up to date)."""
     from migration_pair_ray.pipelines.feed import export_jsonl
     from migration_pair_ray.sources.jsonl_log import ingest_jsonl_log
-    src = _events_lake(sf_dir)
-    root = Path(src.changelog_dir).parent
-    exp = root / "jsonlmirror-wire"
-    dst = JobConfig(changelog_dir=str(root / "log_jsonlmirror"),
-                    lake_dir=str(root / "lake_jsonlmirror"),
-                    num_partitions=8, partition_mode="key")
-    export_jsonl(src, "jsonl-mirror", str(exp), ack=True)
+    dst = _follower(sf_dir, "jsonlmirror")
+    exp = _cache_dir(sf_dir, "jsonlmirror") / "wire"
+    export_jsonl(_events_lake(sf_dir), "jsonl-mirror", str(exp), ack=True)
     ingest_jsonl_log(dst, str(exp))
     return final_state(dst, sort=True)
 
@@ -4580,20 +4342,15 @@ def cdc_hot_layout(sf_dir: str):
     invariants themselves are asserted in tests/test_hot_mode.py."""
     from ray.data.aggregate import Sum
     from migration_pair_ray.stages.partition import key_histogram
-    src = _events_lake(sf_dir)   # reuse the derived change files
-    root = Path(src.changelog_dir).parent
     log = rd.read_parquet(
-        sorted(str(p) for p in Path(src.changelog_dir).glob("batch-*.parquet")),
+        sorted(str(p) for p in _derived_log(sf_dir).glob("batch-*.parquet")),
         columns=["conv_id"], file_extensions=None)
     hot = (log.map_batches(key_histogram, batch_format="pyarrow")
            .groupby("conv_id").aggregate(Sum("cnt", alias_name="cnt"))
            .sort(["cnt", "conv_id"], descending=[True, False])
            .limit(2).take_all())
-    cfg = JobConfig(changelog_dir=src.changelog_dir,
-                    lake_dir=str(root / "lake_hot"), num_partitions=16,
-                    partition_mode="hot",
-                    hot_convs=[r["conv_id"] for r in hot])
-    replay(cfg)   # no-op when already up to date
+    cfg = _derived_lake(sf_dir, "hot", _WHOLE_LOG, partition_mode="hot",
+                        hot_convs=[r["conv_id"] for r in hot])
     return final_state(cfg, sort=True)
 
 
@@ -4619,25 +4376,12 @@ def cdc_refill(sf_dir: str):
     every call (idempotent, deterministic pass id) so the recovery path is
     exercised, not cached."""
     from migration_pair_ray.pipelines.repair import refill_partition
-    src = _events_lake(sf_dir)   # reuse the derived change files
-    root = Path(src.changelog_dir).parent
-    log2, lake2 = str(root / "log_refill"), str(root / "lake_refill")
-    if not Path(log2).exists():
-        # link into a temp dir + atomic rename: a crash mid-link must not
-        # leave a partial log that later runs silently treat as complete
-        tmp = f"{log2}.tmp.{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        for f in sorted(Path(src.changelog_dir).glob("batch-*.parquet")):
-            os.link(f, Path(tmp) / f.name)
-        os.rename(tmp, log2)
-    cfg = JobConfig(changelog_dir=log2, lake_dir=lake2, num_partitions=16)
-    replay(cfg)   # no-op when already up to date
+    cfg = _derived_lake(sf_dir, "refill", _WHOLE_LOG)
     # deterministic victim: the largest partition
     from migration_pair_ray.state.manifest import ManifestStore
     store = ManifestStore(cfg.manifest_dir)
     pid = max(range(16), key=lambda p: ((store.read(p) or {}).get("row_count", 0), -p))
-    for sf in Path(lake2, f"part={pid:05d}").glob("state-*.parquet"):
+    for sf in Path(cfg.lake_dir, f"part={pid:05d}").glob("state-*.parquet"):
         sf.unlink()
     store.delete(pid)
     refill_partition(cfg, pid)
@@ -4651,7 +4395,7 @@ def cdc_snapshot_incremental(sf_dir: str):
     here), read back and compared to the LWW winners oracle."""
     from migration_pair_ray.pipelines.snapshot import snapshot_incremental
     cfg = _events_lake(sf_dir)
-    out = str(Path(cfg.lake_dir).parent / "export_incr")
+    out = str(_cache_dir(sf_dir, "export_incr"))
     snapshot_incremental(cfg, out)
     again = snapshot_incremental(cfg, out)
     assert again["exported"] == 0, "unchanged lake must fully reuse"

@@ -12,7 +12,7 @@ because after conversion it IS the normal change log.  Conversion runs
 distributed: one ``read_json`` over all pending files, envelope→columns
 vectorized per batch, one write task per input file (grouped on the
 ``include_paths`` provenance column), mirroring the change-derivation
-pattern in pipelines/queries._events_lake.
+pattern in pipelines/queries._write_derived_log.
 
 Payload schema follows the envelopes: a field absent from every struct in
 a file (e.g. ``tool`` before it existed) is absent from that file's

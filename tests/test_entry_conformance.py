@@ -4,12 +4,14 @@ and compare against its ``oracle_sql()`` in DuckDB the way the driver does
 for execution + non-empty schema."""
 
 import shutil
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 import pytest
 
 import __ray_entry__ as entry_mod
+from migration_pair_ray.pipelines import queries
 
 SF = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -47,10 +49,32 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
+def clear_query_caches(sf: str = SF) -> None:
+    """Remove every cache the queries keep for the tree ``sf``: lakes,
+    logs, indexes and checkpoints all live under ``_cache_dir``'s
+    per-tree directories, named ``<tree name>-<identity>``."""
+    for d in queries._CACHE_ROOT.glob(f"{Path(sf).name}-*"):
+        shutil.rmtree(d)
+
+
 @pytest.fixture(scope="module", autouse=True)
 def fresh_tmp(ray_session):
-    shutil.rmtree("/tmp/mpr_queries/sf0.001", ignore_errors=True)
+    """Every derived lake and index of the run is built cold."""
+    clear_query_caches()
     yield
+
+
+def test_clean_up_removes_every_cache_the_queries_build(
+        ray_session, tmp_path, monkeypatch):
+    """A derived-lake query and an index query build only under the cache
+    root, and the fixture's clean-up leaves none of it behind."""
+    monkeypatch.setattr(queries, "_CACHE_ROOT", tmp_path)
+    queries.cdc_two_phase_replay(SF)
+    queries.embed_knn_ivf(SF)
+    built = sorted(p.relative_to(tmp_path) for p in tmp_path.glob("*/*"))
+    assert built, "the queries cached nothing under the cache root"
+    clear_query_caches()
+    assert not list(tmp_path.iterdir()), built
 
 
 ALL = sorted(entry_mod.queries().keys())
