@@ -22,7 +22,7 @@ import ray.data
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.normalize import normalize_batch
 from migration_pair_ray.pipelines.compliance import check_compliance
-from migration_pair_ray.pipelines.replay import apply_changes_ds
+from migration_pair_ray.pipelines.replay import apply_dataset
 from migration_pair_ray.schemas import CHANGE_SCHEMA
 
 
@@ -141,14 +141,13 @@ def _bulk_load(cfg: JobConfig, input_path: str, fmt: str, pass_tag: str) -> dict
     from migration_pair_ray.state.manifest import CheckpointStore
     ckpt = CheckpointStore(cfg.checkpoint_dir)
     pass_seq = ckpt.next_seq()
-    lineage = apply_changes_ds(ds, cfg, pass_id, splits=meta.splits(),
-                               hot_convs=meta.hot_convs(),
-                               pass_seq=pass_seq)
+    lineage = apply_dataset(ds, cfg, pass_id, splits=meta.splits(),
+                            hot_convs=meta.hot_convs(), pass_seq=pass_seq)
     import pyarrow.compute as pc
     rows_in = int(pc.sum(lineage.column("rows_in")).as_py() or 0)
     ckpt.commit_pass(pass_id, in_files, name_prefix="bulk:", seq=pass_seq,
                      stats={
-        "bulk_load": True, "rows_in": rows_in,
+        "bulk_load": True, "rows_in": rows_in, "executor": "ray_data",
         "schema": {f.name: str(f.type) for f in CHANGE_SCHEMA}})
     return {
         "pass_id": pass_id,

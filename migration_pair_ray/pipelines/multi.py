@@ -175,11 +175,9 @@ def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
                          names: list[str], t0: float) -> dict:
     import pyarrow.parquet as pq
 
-    from migration_pair_ray.pipelines.replay import (_push_shuffle,
-                                                     _write_lineage,
+    from migration_pair_ray.pipelines.replay import (_write_lineage,
                                                      apply_changes_ds)
-    from migration_pair_ray.sources.changelog import (read_changes,
-                                                      unified_schema)
+    from migration_pair_ray.sources.changelog import unified_schema
 
     _check_registry(cfg, source_dirs, names)
     ck = CheckpointStore(cfg.checkpoint_dir)
@@ -215,23 +213,15 @@ def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
         shutil.rmtree(qdir, ignore_errors=True)
         qdir.mkdir(parents=True, exist_ok=True)
 
-    with _push_shuffle():
-        ds = None
-        for k, files in enumerate(per_source):
-            if not files:
-                continue
-            part = read_changes(files, schema).map_batches(
-                _shift_lsn(k, K), batch_format="pyarrow")
-            ds = part if ds is None else ds.union(part)
-        if qdir is not None:
-            from migration_pair_ray.stages.quarantine import \
-                make_quarantine_gate
-            ds = ds.map_batches(
-                make_quarantine_gate(str(qdir), cfg.merge_kernel),
-                batch_format="pyarrow")
-        lineage = apply_changes_ds(ds, cfg, pass_id, splits=meta.splits(),
-                                   hot_convs=meta.hot_convs(),
-                                   pass_seq=pass_seq)
+    gates = []
+    if qdir is not None:
+        from migration_pair_ray.stages.quarantine import make_quarantine_gate
+        gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
+    lineage, plan = apply_changes_ds(
+        [(files, [_shift_lsn(k, K), *gates])
+         for k, files in enumerate(per_source) if files],
+        schema, cfg, pass_id, splits=meta.splits(),
+        hot_convs=meta.hot_convs(), pass_seq=pass_seq)
 
     src_events = {
         n: sum(pq.ParquetFile(f).metadata.num_rows for f in files)
@@ -242,7 +232,8 @@ def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
         pass_id, pairs, seq=pass_seq,
         stats={"events_in": events_in, "partitions": lineage.num_rows,
                "sources": src_events,
-               "schema": {f.name: str(f.type) for f in schema}})
+               "schema": {f.name: str(f.type) for f in schema},
+               **plan})
     quarantined = 0
     if qdir is not None:
         from migration_pair_ray.stages.quarantine import quarantined_total

@@ -385,10 +385,8 @@ def refill_partition(cfg: JobConfig, pid: int) -> dict:
 
 def _refill_locked(cfg: JobConfig, pid: int) -> dict:
     import pyarrow.compute as _pc  # noqa: F401  (kernels via pa.compute)
-    from migration_pair_ray.pipelines.replay import (_push_shuffle,
-                                                     apply_changes_ds)
-    from migration_pair_ray.sources.changelog import (read_changes,
-                                                      unified_schema)
+    from migration_pair_ray.pipelines.replay import apply_changes_ds
+    from migration_pair_ray.sources.changelog import unified_schema
     from migration_pair_ray.stages.partition import partition_ids
     from migration_pair_ray.state.bloom import gc_partition_files
     from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
@@ -471,37 +469,34 @@ def _refill_locked(cfg: JobConfig, pid: int) -> dict:
             "cfg.quarantine_dir is unset — set it so the refill diverts "
             "the same malformed rows the original replay did")
 
+    plan: dict = {}
     if paths:
-        with _push_shuffle():
-            ds = read_changes(paths, unified_schema(paths))
-            ds = ds.map_batches(keep, batch_format="pyarrow")
-            if want_gate:
-                # same gate as replay: rows the original passes diverted
-                # to the dead-letter sink must not resurrect in the merge.
-                # Gate AFTER keep(pid): partition_ids sentinel-routes even
-                # null-key rows deterministically, so this refill's
-                # quarantine dir holds exactly the malformed rows
-                # attributed to pid — refilling every partition re-creates
-                # the original dead-letter set ONCE, instead of each
-                # refill re-diverting the whole lake's rejects into a
-                # fresh pass-<id> dir (round-4 ADVICE: unbounded
-                # duplication across repeated refills)
-                import shutil as _sh
-                from migration_pair_ray.stages.quarantine import \
-                    make_quarantine_gate
-                qdir = Path(cfg.quarantine_dir) / f"pass-{pass_id}"
-                _sh.rmtree(qdir, ignore_errors=True)
-                qdir.mkdir(parents=True, exist_ok=True)
-                ds = ds.map_batches(
-                    make_quarantine_gate(str(qdir), cfg.merge_kernel),
-                    batch_format="pyarrow")
-            lineage = apply_changes_ds(ds, cfg, pass_id,
-                                       splits=splits, hot_convs=hot,
-                                       pass_seq=last_seq,
-                                       lineage_break=True)
-            if lineage.num_rows:
-                rows_applied = int(pa.compute.sum(
-                    lineage.column("rows_in")).as_py() or 0)
+        gates = [keep]
+        if want_gate:
+            # same gate as replay: rows the original passes diverted to
+            # the dead-letter sink must not resurrect in the merge.  Gate
+            # AFTER keep(pid): partition_ids sentinel-routes even null-key
+            # rows deterministically, so this refill's quarantine dir
+            # holds exactly the malformed rows attributed to pid —
+            # refilling every partition re-creates the original
+            # dead-letter set ONCE, instead of each refill re-diverting
+            # the whole lake's rejects into a fresh pass-<id> dir
+            # (unbounded duplication across repeated refills)
+            import shutil as _sh
+            from migration_pair_ray.stages.quarantine import \
+                make_quarantine_gate
+            qdir = Path(cfg.quarantine_dir) / f"pass-{pass_id}"
+            _sh.rmtree(qdir, ignore_errors=True)
+            qdir.mkdir(parents=True, exist_ok=True)
+            gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
+        lineage, plan = apply_changes_ds([(paths, gates)],
+                                         unified_schema(paths), cfg, pass_id,
+                                         splits=splits, hot_convs=hot,
+                                         pass_seq=last_seq,
+                                         lineage_break=True)
+        if lineage.num_rows:
+            rows_applied = int(pa.compute.sum(
+                lineage.column("rows_in")).as_py() or 0)
 
     rec = store.read(pid)
     if rec is None:
@@ -527,7 +522,7 @@ def _refill_locked(cfg: JobConfig, pid: int) -> dict:
     CheckpointStore(cfg.checkpoint_dir).commit_pass(
         pass_id, [],
         stats={"refill_of": pid, "gated": bool(want_gate),
-               "files_read": len(paths)})
+               "files_read": len(paths), **plan})
 
     return {"partition": pid, "pass_id": pass_id,
             "passes_replayed": len(eff), "files_read": len(paths),

@@ -1,17 +1,28 @@
 """CDC replay — the flagship pipeline (EP1/EndToEnd analog, SURVEY.md §3).
 
     discover uncommitted change files            (manifest/checkpoint diff)
-      → ray.data.read_parquet                    (streaming blocks)
-      → normalize map_batches                    (stateless; schema evolution)
-      → partial LWW reduce map_batches           (combiner: ≤1 row per key
-                                                  per batch crosses the wire)
-      → add hash-partition column                (conv / salted-key mode)
-      → groupby(part).map_groups(merge_partition)
+      → plan: footer bytes of the change files + the lake's pinned state
+              (read_in_driver: at most one Ray Data block?)
+      ├─ driver executor (fits one block)
+      │    pyarrow read per file → normalize → batch fns (gates)
+      │    → combine_changes ONCE over the pass  (LWW reduce, hash-partition
+      │                                           column, raw lsn range)
+      │    → merge_partition for each partition in turn
+      └─ Ray Data executor (larger)
+           ray.data.read_parquet                 (streaming blocks)
+           → normalize → batch fns               (fused map stages)
+           → combine_changes per block           (combiner: ≤1 row per key
+                                                  per block crosses the wire;
+                                                  conv / salted-key routing)
+           → groupby(part).map_groups(merge_partition)
                                                  (the ONE shuffle; plain Ray
                                                   tasks merge each partition
                                                   + commit its manifest;
                                                   nothing outlives the pass)
-      → lineage records → pass checkpoint
+      → lineage records → pass checkpoint (stats: executor, planned_bytes)
+
+Both executors call the same ``merge_partition`` per partition, so every
+effect stays behind the per-partition manifest commit on either.
 
 The reference's EndToEnd (``Tasks/EndToEnd.cs:20-49``) is the degenerate
 single-stream version of this; the explicit partial reduce + hash partition
@@ -25,7 +36,9 @@ import functools
 import time
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
@@ -34,21 +47,42 @@ from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
 from migration_pair_ray.functions.normalize import make_normalizer
 from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
-from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, merge_partition,
+from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, RAW_LSN_COLS,
+                                               merge_partition,
                                                read_state_table,
                                                state_file_paths)
-from migration_pair_ray.stages.partition import PART_COL, add_partition_column
+from migration_pair_ray.stages.partition import (PART_COL,
+                                                 add_partition_column,
+                                                 partition_ids)
 from migration_pair_ray.state.manifest import CheckpointStore, compute_pass_id
 
 
-def apply_changes_ds(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
+def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
+                     cfg: JobConfig, pass_id: str,
                      splits: dict[int, tuple[int, int]] | None = None,
                      pass_seq: int = -1,
                      hot_convs: tuple[str, ...] = (),
                      lineage_break: bool = False,
-                     merge_fn=merge_partition) -> pa.Table:
-    """Run the partition→merge→commit tail of the pipeline on a normalized
-    change Dataset; returns the lineage table (one row per partition).
+                     merge_fn=merge_partition) -> tuple[pa.Table, dict]:
+    """Plan and run one pass over change files; returns the lineage table
+    (one row per partition) and the plan, ``{"executor", "planned_bytes"}``,
+    which the caller records in the pass checkpoint's ``stats``.
+
+    ``sources`` is the pass input: a list of ``(files, fns)``, each a
+    group of change files and the batch functions (``pa.Table ->
+    pa.Table``) its rows run, in order, after being normalized to
+    ``schema`` — the txn and quarantine gates, a source's lsn shift, a
+    refill's partition filter.  The planner sums the uncompressed bytes
+    the change files' footers and the lake's pinned state files declare
+    and asks ``read_in_driver``, the lake read's predicate:
+
+    * driver executor: each file is read with pyarrow and runs its
+      ``fns`` (per file, as the distributed read runs them per block, so
+      content-addressed gate outputs collapse the same duplicates); the
+      pass is reduced ONCE, routed, and ``merge_fn`` runs for each
+      partition in turn in this process.  No Ray Data plan, exchange or
+      task is started.
+    * Ray Data executor: ``apply_dataset`` on the streaming read.
 
     ``splits`` is the lake's incremental-split map (LakeMeta.splits):
     events for a split base partition route to its children, so a replay
@@ -56,7 +90,96 @@ def apply_changes_ds(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
     partitions.  ``lineage_break`` is stamped into every commit record
     (refill: the partition's retained history is gone).  ``merge_fn`` is
     the per-partition merge (``merge_partition``'s signature); tests swap
-    in a fault-injecting one (testing.py).
+    in a fault-injecting one (testing.py)."""
+    nbytes = (sum(read_footer(f)[1] for files, _ in sources for f in files)
+              + _pinned_state_bytes(cfg))
+    if not read_in_driver(nbytes):
+        with _push_shuffle():
+            ds = None
+            for files, fns in sources:
+                part = read_changes(files, schema)
+                for fn in fns:
+                    part = part.map_batches(fn, batch_format="pyarrow")
+                ds = part if ds is None else ds.union(part)
+            lineage = apply_dataset(ds, cfg, pass_id, splits, pass_seq,
+                                    hot_convs, lineage_break, merge_fn)
+        return lineage, {"executor": "ray_data", "planned_bytes": nbytes}
+    norm = make_normalizer(schema)
+    parts = []
+    for files, fns in sources:
+        for f in files:
+            with pq.ParquetFile(f) as pf:
+                t = norm(pf.read())
+            for fn in fns:
+                t = fn(t)
+            parts.append(t)
+    changes = combine_changes(
+        pa.concat_tables(parts, promote_options="permissive"), cfg, splits,
+        hot_convs)
+    pids = changes.column(PART_COL).to_numpy()
+    order = np.argsort(pids, kind="stable")
+    changes = changes.take(order)
+    cuts = [0, *(np.flatnonzero(np.diff(pids[order])) + 1), len(pids)]
+    out = [merge_fn(changes.slice(lo, hi - lo), cfg=cfg, pass_id=pass_id,
+                    pass_seq=pass_seq, lineage_break=lineage_break)
+           for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    lineage = (pa.concat_tables(out).cast(LINEAGE_SCHEMA) if out
+               else LINEAGE_SCHEMA.empty_table())
+    return lineage, {"executor": "driver", "planned_bytes": nbytes}
+
+
+def combine_changes(batch: pa.Table, cfg: JobConfig,
+                    splits: dict[int, tuple[int, int]] | None,
+                    hot_convs: tuple[str, ...]) -> pa.Table:
+    """The pass's combiner, one function for both executors (the driver
+    runs it once over the whole pass, Ray Data once per block): reduce
+    ``batch`` with the lake's kernel, add the survivors' partition column,
+    and stamp each survivor with its partition's raw lsn range in
+    ``batch`` (``RAW_LSN_COLS``), so the merge records the offsets the
+    pass applied whatever the reduce dropped."""
+    if batch.num_rows == 0:
+        empty = pa.array([], pa.int64())
+        return add_partition_column(batch, cfg.num_partitions).append_column(
+            RAW_LSN_COLS[0], empty).append_column(RAW_LSN_COLS[1], empty)
+    raw = pa.table({PART_COL: partition_ids(batch, cfg.num_partitions,
+                                            cfg.partition_mode, splits,
+                                            hot_convs),
+                    "lsn": batch.column("lsn")})
+    rng = raw.group_by(PART_COL).aggregate([("lsn", "min"), ("lsn", "max")])
+    out = add_partition_column(reduce_events(batch, cfg.merge_kernel),
+                               cfg.num_partitions, cfg.partition_mode,
+                               splits, hot_convs)
+    at = pc.index_in(out.column(PART_COL), rng.column(PART_COL))
+    return (out.append_column(RAW_LSN_COLS[0],
+                              rng.column("lsn_min").take(at))
+            .append_column(RAW_LSN_COLS[1], rng.column("lsn_max").take(at)))
+
+
+def _pinned_state_bytes(cfg: JobConfig) -> int:
+    """Uncompressed bytes the footers of the lake's pinned state files
+    declare (every active partition's current record): the state a pass
+    may merge into."""
+    from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
+                                                   record_files)
+    store = ManifestStore(cfg.manifest_dir)
+    return sum(read_footer(str(Path(cfg.lake_dir) / f))[1]
+               for pid in LakeMeta(cfg.lake_dir).active_partition_ids(
+                   cfg.num_partitions)
+               for f in record_files(store.read(pid)))
+
+
+def apply_dataset(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
+                  splits: dict[int, tuple[int, int]] | None = None,
+                  pass_seq: int = -1,
+                  hot_convs: tuple[str, ...] = (),
+                  lineage_break: bool = False,
+                  merge_fn=merge_partition) -> pa.Table:
+    """The Ray Data executor: the partition→merge→commit tail on a
+    normalized change Dataset; returns the lineage table.  Passes over
+    change files reach it through ``apply_changes_ds``'s plan;
+    ``bulk_load`` (a CSV/Parquet snapshot reader) and ``repartition_lake``
+    (a lake read) hand over their Datasets directly, built inside
+    ``_push_shuffle``.
 
     The merge stage is plain Ray tasks, at most ``cfg.apply_concurrency``
     at once, so a pass holds no CPU after it returns.  It carries EXPLICIT
@@ -69,15 +192,8 @@ def apply_changes_ds(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
     # map stages; an explicit batch_size would re-slice and copy each block.
     # The combiner is kernel-dispatched: both kernels are join-semilattices,
     # so the per-batch partial reduce before the shuffle stays safe.
-    kernel = cfg.merge_kernel
-    ds = ds.map_batches(lambda b: reduce_events(b, kernel),
+    ds = ds.map_batches(lambda b: combine_changes(b, cfg, splits, hot_convs),
                         batch_format="pyarrow")
-    ds = ds.map_batches(
-        lambda b: add_partition_column(b, cfg.num_partitions,
-                                       cfg.partition_mode, splits,
-                                       hot_convs),
-        batch_format="pyarrow",
-    )
     lineage = ds.groupby(PART_COL).map_groups(
         functools.partial(merge_fn, cfg=cfg, pass_id=pass_id,
                           pass_seq=pass_seq, lineage_break=lineage_break),
@@ -176,27 +292,22 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
     # number (deterministic across crash-retry: the checkpoint file only
     # lands after all partitions commit) — the ordering time travel needs
     pass_seq = CheckpointStore(cfg.checkpoint_dir).next_seq()
-    with _push_shuffle():
-        ds = read_changes(read_files, read_schema)
-        if txn_state is not None:
-            # before quarantine: commit markers carry null keys by design
-            # and must never be classified as malformed rows
-            from migration_pair_ray.pipelines import txn as txnmod
-            ds = ds.map_batches(
-                txnmod.make_txn_gate(txn_state["pending_dir"],
-                                     txn_state["ids_ref"]),
-                batch_format="pyarrow")
-        if qdir is not None:
-            from migration_pair_ray.stages.quarantine import make_quarantine_gate
-            ds = ds.map_batches(
-                make_quarantine_gate(str(qdir), cfg.merge_kernel),
-                batch_format="pyarrow")
-        lineage = apply_changes_ds(ds, cfg, pass_id, splits=meta.splits(),
-                                   pass_seq=pass_seq,
-                                   hot_convs=meta.hot_convs())
+    gates = []
+    if txn_state is not None:
+        # before quarantine: commit markers carry null keys by design
+        # and must never be classified as malformed rows
+        from migration_pair_ray.pipelines import txn as txnmod
+        gates.append(txnmod.make_txn_gate(txn_state["pending_dir"],
+                                          txn_state["ids_ref"]))
+    if qdir is not None:
+        from migration_pair_ray.stages.quarantine import make_quarantine_gate
+        gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
+    lineage, plan = apply_changes_ds([(read_files, gates)], read_schema, cfg,
+                                     pass_id, splits=meta.splits(),
+                                     pass_seq=pass_seq,
+                                     hot_convs=meta.hot_convs())
 
-    import pyarrow.compute as pc
-    # raw event count from footers (free); lineage rows_in is post-partial-reduce
+    # raw event count from footers (free); lineage rows_in is post-reduce
     events_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     _write_lineage(cfg, pass_id, lineage)
     if txn_state is not None:
@@ -213,7 +324,8 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
                # schema audit trail: what this pass's unified change
                # schema looked like (pipelines/compliance.schema_history
                # diffs consecutive passes into an evolution log)
-               "schema": {f.name: str(f.type) for f in schema}},
+               "schema": {f.name: str(f.type) for f in schema},
+               **plan},
     )
     quarantined = 0
     if qdir is not None:
@@ -252,14 +364,15 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
 
 
 def read_in_driver(nbytes: int) -> bool:
-    """The lake-read planner's executor choice, from the uncompressed
-    bytes the read's Parquet footers declare.  A read within Ray Data's
+    """The planner's executor choice, from the uncompressed bytes the
+    Parquet footers of a read or a pass declare.  Work within Ray Data's
     own block target (``DataContext.target_max_block_size``, 128 MiB by
     default) would be about one block anyway, so it runs in the driver
     and skips the fixed cost every Dataset pays (datasource plan, metadata
-    tasks, streaming-executor start-up); a larger read runs on Ray Data.
-    ``read_lake``, ``final_state`` and ``lookup.fetch_conversations`` all
-    choose here."""
+    tasks, streaming-executor start-up, and for a pass the groupby
+    exchange and merge tasks); larger work runs on Ray Data.
+    ``read_lake``, ``final_state``, ``lookup.fetch_conversations`` and
+    every pass through ``apply_changes_ds`` choose here."""
     return nbytes <= ray.data.DataContext.get_current().target_max_block_size
 
 
@@ -541,7 +654,6 @@ def repartition_lake(cfg: JobConfig, new_cfg: JobConfig) -> dict:
 
 def _repartition_locked(cfg: JobConfig, new_cfg: JobConfig, t0: float) -> dict:
     import shutil
-    import pyarrow.compute as pc
     from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
     LakeMeta(new_cfg.lake_dir).ensure(new_cfg.num_partitions,
                                       new_cfg.partition_mode,
@@ -559,8 +671,8 @@ def _repartition_locked(cfg: JobConfig, new_cfg: JobConfig, t0: float) -> dict:
     pass_id = h.hexdigest()[:16]
 
     with _push_shuffle():
-        lineage = apply_changes_ds(read_lake(cfg), new_cfg, pass_id,
-                                   hot_convs=tuple(new_cfg.hot_convs or ()))
+        lineage = apply_dataset(read_lake(cfg), new_cfg, pass_id,
+                                hot_convs=tuple(new_cfg.hot_convs or ()))
 
     # carry pass checkpoints over so discover() on the new lake skips the
     # change files the old lake already consumed

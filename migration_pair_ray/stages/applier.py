@@ -1,5 +1,7 @@
-"""The upsert-apply stage: ``groupby(PART_COL).map_groups(merge_partition)``
-in plain Ray tasks.
+"""The upsert-apply stage: ``merge_partition`` for each partition of a
+pass — in the driver, one partition after another, when the pass fits one
+block, else as ``groupby(PART_COL).map_groups(merge_partition)`` in plain
+Ray tasks (``pipelines/replay.apply_changes_ds`` chooses).
 
 This is the Ray-Data-native replacement for the reference's batched async
 Cassandra writer (``Tasks/MigrationTask.cs:118-134`` + the implicit upsert
@@ -32,14 +34,28 @@ from migration_pair_ray.schemas import MERGE_KEYS
 from migration_pair_ray.stages.partition import PART_COL
 from migration_pair_ray.state.manifest import ManifestStore
 
+# Columns the pass combiner (pipelines/replay.combine_changes) stamps on
+# every surviving change row: the min and max raw lsn of its partition's
+# events in the combined batch.  The merge records the source offsets a
+# pass applied from them; the survivors' own lsns are narrower whenever a
+# reduce dropped a superseded event at either end.
+RAW_LSN_COLS = ("_raw_lsn_lo", "_raw_lsn_hi")
+
 LINEAGE_SCHEMA = pa.schema(
     [
         pa.field("partition", pa.int32()),
         pa.field("pass_id", pa.string()),
-        pa.field("rows_in", pa.int64()),        # change rows entering the merge
+        # change rows entering the merge.  The driver executor reduces the
+        # whole pass before routing, so this is the partition's distinct
+        # keys (row kernel; determiner rows under the cell kernel).  The
+        # Ray Data executor reduces per block, so a key whose events span
+        # blocks counts once per block: the same pass reports more rows.
+        pa.field("rows_in", pa.int64()),
         pa.field("rows_state", pa.int64()),     # rows in the committed state file
         pa.field("tombstones", pa.int64()),     # tombstone keys held in state
-        pa.field("lsn_lo", pa.int64()),         # source offset range applied
+        # source offset range applied: every raw event of the partition in
+        # the pass, superseded ones included (RAW_LSN_COLS)
+        pa.field("lsn_lo", pa.int64()),
         pa.field("lsn_hi", pa.int64()),
         pa.field("bytes", pa.int64()),
         pa.field("seconds", pa.float64()),
@@ -78,8 +94,9 @@ def write_state_parquet(table: pa.Table, path: str) -> int:
 
 def merge_partition(group: pa.Table, cfg: JobConfig, pass_id: str,
                     pass_seq: int, lineage_break: bool) -> pa.Table:
-    """The merge stage's ``map_groups`` function: merge and commit one
-    partition's change group; returns its lineage row."""
+    """The merge stage's per-partition function (both pass executors):
+    merge and commit one partition's change group; returns its lineage
+    row."""
     return Applier(cfg, pass_id, pass_seq, lineage_break)(group)
 
 
@@ -173,7 +190,7 @@ class Applier:
         if group.num_rows == 0:
             return pa.Table.from_pylist([], schema=LINEAGE_SCHEMA)
         pid = int(group.column(PART_COL)[0].as_py())
-        changes = group.drop_columns([PART_COL])
+        changes = group.drop_columns([PART_COL, *RAW_LSN_COLS])
 
         prev = self.manifests.read(pid)
         if prev and self.pass_id in prev.get("history", []):
@@ -182,8 +199,8 @@ class Applier:
                                  rows_state=prev.get("row_count", 0),
                                  seconds=time.perf_counter() - t0)
 
-        lsn_lo = int(pc.min(changes.column("lsn")).as_py())
-        lsn_hi = int(pc.max(changes.column("lsn")).as_py())
+        lsn_lo = int(pc.min(group.column(RAW_LSN_COLS[0])).as_py())
+        lsn_hi = int(pc.max(group.column(RAW_LSN_COLS[1])).as_py())
 
         if self.cfg.mor_max_deltas > 0 and prev is not None:
             out = self._apply_mor(pid, prev, changes)

@@ -93,7 +93,11 @@ def _test_any(bits: np.ndarray, m: int, keys) -> bool:
 
 
 def _merge_key_arrays(table) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct non-null conv ids and distinct merge-key strings."""
+    """Distinct non-null conv ids and distinct merge-key strings.  The
+    filter bits are a set union and their size follows the distinct
+    count only, so Arrow's hash-based ``unique`` (first-seen order) gives
+    the same sidecar bytes as a sort, without boxing every row's key as a
+    Python string first."""
     import pyarrow as pa
     import pyarrow.compute as pc
     conv = table.column("conv_id")
@@ -101,13 +105,11 @@ def _merge_key_arrays(table) -> tuple[np.ndarray, np.ndarray]:
     if table.column("turn_idx").null_count:
         mask = pc.and_(mask, pc.is_valid(table.column("turn_idx")))
     t = table.filter(mask)
-    convs = np.asarray(t.column("conv_id").to_pandas(), dtype=object)
-    pair_col = pc.binary_join_element_wise(
+    pairs = pc.binary_join_element_wise(
         t.column("conv_id"), pc.cast(t.column("turn_idx"), pa.string()),
         _PAIR_SEP)
-    pairs = np.asarray(pair_col.to_pandas(), dtype=object)
-    return np.unique(convs) if len(convs) else convs, \
-        np.unique(pairs) if len(pairs) else pairs
+    return (pc.unique(t.column("conv_id")).to_numpy(zero_copy_only=False),
+            pc.unique(pairs).to_numpy(zero_copy_only=False))
 
 
 def write_sidecar(parquet_path: str, table) -> None:

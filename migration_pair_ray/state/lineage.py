@@ -30,7 +30,8 @@ def read_lineage(cfg: JobConfig) -> pa.Table:
 
 def lineage_summary(cfg: JobConfig) -> dict:
     """Job-level rollup: per-pass and total events applied, tombstones,
-    bytes written, applier seconds, lsn coverage."""
+    bytes written, applier seconds, lsn coverage, and how many committed
+    passes ran on each executor (checkpoint ``stats.executor``)."""
     t = read_lineage(cfg)
     if t.num_rows == 0:
         return {"passes": 0, "partitions": 0, "rows_in": 0}
@@ -56,4 +57,16 @@ def lineage_summary(cfg: JobConfig) -> dict:
         "lsn_lo": int(pc.min(applied.column("lsn_lo")).as_py() or 0),
         "lsn_hi": int(pc.max(applied.column("lsn_hi")).as_py() or 0),
         "skipped_partitions": int(pc.sum(pc.cast(t.column("skipped"), pa.int64())).as_py() or 0),
+        "executors": _executor_counts(cfg),
     }
+
+
+def _executor_counts(cfg: JobConfig) -> dict[str, int]:
+    """Committed passes per recorded executor (``driver`` / ``ray_data``)."""
+    import json
+    out: dict[str, int] = {}
+    for p in sorted(Path(cfg.checkpoint_dir).glob("pass-*.json")):
+        ex = (json.loads(p.read_text()).get("stats") or {}).get("executor")
+        if ex is not None:
+            out[ex] = out.get(ex, 0) + 1
+    return out

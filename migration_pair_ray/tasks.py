@@ -87,8 +87,9 @@ def task_hotspots(cfg: JobConfig, top_k: int = 5, **kw) -> dict:
 def task_history(cfg: JobConfig, **kw) -> dict:
     """Committed-pass history in seq order — the ops ledger: one row per
     pass with its kind (replay / bulk / rollback / repair / refill), file
-    count and
-    recorded stats.  Read-only, checkpoint-dir only (no data reads)."""
+    count and recorded stats, including the executor the pass ran on
+    (``driver`` / ``ray_data``) and the footer bytes its plan chose on.
+    Read-only, checkpoint-dir only (no data reads)."""
     import json as _json
     from pathlib import Path
     from migration_pair_ray.state.manifest import CheckpointStore
@@ -107,7 +108,9 @@ def task_history(cfg: JobConfig, **kw) -> dict:
         rows.append({"seq": rec.get("seq", -1), "pass_id": rec["pass_id"],
                      "kind": kind, "files": len(files),
                      "events_in": stats.get("events_in"),
-                     "partitions": stats.get("partitions")})
+                     "partitions": stats.get("partitions"),
+                     "executor": stats.get("executor"),
+                     "planned_bytes": stats.get("planned_bytes")})
     rows.sort(key=lambda r: r["seq"])
     return {"passes": rows, "count": len(rows)}
 

@@ -32,8 +32,10 @@ def tmp_lake(tmp_path):
 @pytest.fixture()
 def distributed_reads(monkeypatch):
     """Send every manifest-planned lake read (``read_lake``,
-    ``final_state``, ``fetch_conversations``) to its Ray Data executor.
-    Test lakes sit far below Ray Data's block target, so the planner
-    would read them all in the driver; this patches its one predicate."""
+    ``final_state``, ``fetch_conversations``) and every planned pass
+    (``replay``, ``replay_multi``, refill: ``apply_changes_ds``) to its
+    Ray Data executor.  Test lakes and logs sit far below Ray Data's
+    block target, so the planner would run them all in the driver; this
+    patches its one predicate, which reads and passes share."""
     from migration_pair_ray.pipelines import replay
     monkeypatch.setattr(replay, "read_in_driver", lambda nbytes: False)

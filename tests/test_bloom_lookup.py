@@ -186,3 +186,49 @@ def test_stable_hash64_values_are_frozen():
     assert [int(h) for h in stable_hash64(pd.Series(vals))] == frozen
     assert int(stable_hash64([float("nan")])[0]) == frozen[3]
     assert len(stable_hash64([])) == 0
+
+
+def _sidecar_tables() -> dict[str, pa.Table]:
+    """A row-kernel state table (one row per key, two chunks) and a
+    cell-kernel one (several determiner rows per key), both with null
+    keys and repeated conversation ids; plus a 3,000-row table whose
+    merge keys repeat."""
+    row = pa.Table.from_batches([
+        pa.record_batch({
+            "conv_id": pa.array(["a", "a", "a", "b", None], pa.string()),
+            "turn_idx": pa.array([0, 1, 2, 0, 3], pa.int32()),
+            "op": pa.array(["I", "U", "D", "I", "I"])}),
+        pa.record_batch({
+            "conv_id": pa.array(["c", "d", "d", "ü-7"], pa.string()),
+            "turn_idx": pa.array([5, None, 1, 40], pa.int32()),
+            "op": pa.array(["I", "I", "U", "I"])})])
+    cell = pa.table({
+        "conv_id": pa.array(["a", "a", "a", "b", "b", None, "c", "c", "c"],
+                            pa.string()),
+        "turn_idx": pa.array([0, 0, 1, 0, 0, 1, None, 2, 2], pa.int32()),
+        "op": pa.array(["I", "P", "P", "I", "P", "P", "I", "U", "P"])})
+    many = pa.table({
+        "conv_id": pa.array([f"conv-{i % 97}" for i in range(3000)]),
+        "turn_idx": pa.array([(i // 97) % 20 for i in range(3000)],
+                             pa.int32())})
+    return {"row": row, "cell": cell, "many": many}
+
+
+# sha256 of each table's sidecar, as written when the filters were built
+# from np.unique over the key strings: the bits are a set union and the
+# size follows the distinct count only, so any distinct-key method must
+# reproduce them byte for byte
+_SIDECAR_SHA256 = {
+    "row": "912bb2383b86c36db2f5945bd94b79c7cced13f690ea8d47a16499dd8f822eab",
+    "cell": "56597773e5c75e1c7cbd067c2872b04e880e44f28ff313f183b8a24042f8b8cc",
+    "many": "d2edc9dc55716a95bc4cf85ddd51b54541db243e63a9b4f829fedd7c1a1a80c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIDECAR_SHA256))
+def test_sidecar_bytes_are_pinned(tmp_path, name):
+    import hashlib
+    path = str(tmp_path / "state.parquet")
+    write_sidecar(path, _sidecar_tables()[name])
+    got = hashlib.sha256(Path(sidecar_path(path)).read_bytes()).hexdigest()
+    assert got == _SIDECAR_SHA256[name]

@@ -95,12 +95,15 @@ def _state_hashes(lake: str) -> dict:
             for p in sorted(pathlib.Path(lake).glob("part=*/state-*.parquet"))}
 
 
-@pytest.mark.usefixtures("ray_session")
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
 def test_applier_midtask_retry_bit_identical(tmp_lake, tmp_path):
+    """On the Ray Data executor (the fault's ``os._exit`` would end the
+    driver executor's own process), a merge task killed mid-task is
+    retried and the lake is bit-identical to an undisturbed one."""
     log, lake = tmp_lake
     generate_change_log(log, n_events=400, n_convs=8, n_files=2,
                         tool_epoch=1, seed=55)
-    from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
+    from migration_pair_ray.sources.changelog import discover, unified_schema
     files = discover(log)
     pass_id = compute_pass_id(files)
     schema = unified_schema(files)
@@ -110,12 +113,13 @@ def test_applier_midtask_retry_bit_identical(tmp_lake, tmp_path):
     cfg_clean = JobConfig(changelog_dir=log, lake_dir=lake2, num_partitions=4)
 
     from migration_pair_ray.testing import fault_injecting_merge
-    lineage = apply_changes_ds(read_changes(files, schema), cfg_flaky,
-                               pass_id, merge_fn=fault_injecting_merge)
+    lineage, plan = apply_changes_ds([(files, [])], schema, cfg_flaky,
+                                     pass_id, merge_fn=fault_injecting_merge)
+    assert plan["executor"] == "ray_data"
     # the injected crash did fire
     assert (pathlib.Path(lake) / "_fault_injected_once").exists()
     assert lineage.num_rows == 4
-    apply_changes_ds(read_changes(files, schema), cfg_clean, pass_id)
+    apply_changes_ds([(files, [])], schema, cfg_clean, pass_id)
     assert _state_hashes(lake) == _state_hashes(lake2)
 
 
@@ -135,7 +139,20 @@ def _cpus_back(before: float, timeout_s: float = 2.0) -> float:
 def test_passes_release_their_cpus(tmp_lake, tmp_path):
     """Back-to-back passes (no gc.collect between them, as the tail loop
     runs them) give every logical CPU they took back when they return:
-    a merge stage still holding CPUs after a pass stalls the next one."""
+    a merge stage still holding CPUs after a pass stalls the next one.
+    These passes fit one block, so they run on the driver executor;
+    ``repartition_lake`` always runs on Ray Data."""
+    _passes_release_their_cpus(tmp_lake, tmp_path, "driver")
+
+
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_passes_release_their_cpus_distributed(tmp_lake, tmp_path):
+    """The same passes on the Ray Data executor, whose merge stage runs
+    in Ray tasks."""
+    _passes_release_their_cpus(tmp_lake, tmp_path, "ray_data")
+
+
+def _passes_release_their_cpus(tmp_lake, tmp_path, executor: str):
     import dataclasses
     import ray
     from migration_pair_ray.pipelines.replay import repartition_lake
@@ -153,6 +170,8 @@ def test_passes_release_their_cpus(tmp_lake, tmp_path):
         before = ray.available_resources().get("CPU", 0.0)
         assert replay(cfg)["files"] == 1
         assert _cpus_back(before) >= before, f"pass {i} kept CPUs"
+    from migration_pair_ray.tasks import task_history
+    assert {p["executor"] for p in task_history(cfg)["passes"]} == {executor}
     before = ray.available_resources().get("CPU", 0.0)
     repartition_lake(cfg, dataclasses.replace(
         cfg, lake_dir=str(tmp_path / "lake4"), num_partitions=4))
@@ -279,7 +298,9 @@ def test_tail_cli_survives_sigkill_mid_pass(tmp_path):
     """Daemon-form crash property: the tail CLI killed with SIGKILL while
     applying a pass leaves a lake a restarted tailer completes to exactly
     the oracle state — the manifest-gated idempotent commit argument,
-    proven for the long-running loop (round-4 VERDICT item 8)."""
+    proven for the long-running loop.  The 12k-event log fits one block,
+    so the kill lands in the driver executor, between or inside the
+    per-partition merges of the tail process itself."""
     import glob
     import json
     import os
