@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from migration_pair_ray.functions.hashing import stable_hash64
+from migration_pair_ray.sources.readers import driver_dataset
 
 
 def md5_hash64(values) -> np.ndarray:
@@ -272,9 +273,9 @@ def heavy_hitters(ds: "ray.data.Dataset", col: str, num: int = 1,
         for name, t in zip(ds.schema().names, ds.schema().types):
             if name == col and isinstance(t, pa.DataType):
                 ct = t
-        return ray.data.from_arrow(pa.table({
+        return driver_dataset([pa.table({
             col: pa.array([], ct or pa.string()),
-            "cnt": pa.array([], pa.int64())}))
+            "cnt": pa.array([], pa.int64())})])
     cand_ref = ray.put(pa.array(uniq))
 
     def recount(t: pa.Table) -> pa.Table:

@@ -215,9 +215,8 @@ def read_feed(cfg: JobConfig, consumer: str,
     files were deleted from the log dir raises FeedRetentionError
     (``missing_ok=True`` skips those files and keeps going — an explicit
     opt-in to data loss)."""
-    import ray.data as rd
-
     from migration_pair_ray.sources.changelog import read_changes, unified_schema
+    from migration_pair_ray.sources.readers import driver_dataset
     pending = pending_passes(cfg, consumer)
     frontier = (pending[-1]["seq"] if pending
                 else consumer_cursor(cfg, consumer))
@@ -256,7 +255,7 @@ def read_feed(cfg: JobConfig, consumer: str,
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         empty = CHANGE_SCHEMA.empty_table().append_column(
             "_pass_seq", pa.array([], pa.int64()))
-        return rd.from_arrow(empty), frontier
+        return driver_dataset([empty]), frontier
     schema = unified_schema([p for _, paths in per_pass for p in paths])
 
     def stamp(seq: int):
@@ -932,6 +931,7 @@ def diff_lakes(a: JobConfig, b: JobConfig,
     from migration_pair_ray.functions.lww import finalize_visible
     from migration_pair_ray.functions.normalize import make_normalizer
     from migration_pair_ray.schemas import CHANGE_SCHEMA, unify_change_schemas
+    from migration_pair_ray.sources.readers import driver_dataset
     from migration_pair_ray.stages.applier import read_state_table
     from migration_pair_ray.state.manifest import (LakeLayoutError, LakeMeta,
                                                    ManifestStore,
@@ -969,7 +969,7 @@ def diff_lakes(a: JobConfig, b: JobConfig,
              ("change", pa.string())]
             + [(f"{p}_{c}", CHANGE_SCHEMA.field(c).type)
                for p in ("before", "after") for c in payload])
-        return rd.from_arrow(empty.empty_table())
+        return driver_dataset([empty.empty_table()])
 
     def _diff_pid(lake_a: str, mja: str | None, lake_b: str,
                   mjb: str | None) -> pa.Table:

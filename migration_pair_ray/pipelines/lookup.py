@@ -205,7 +205,7 @@ def read_covering_row_groups(path: str, convs: list[str]) -> pa.Table:
             k = bisect.bisect_left(convs, st.min)
             if k < len(convs) and convs[k] <= st.max:
                 keep.append(i)
-        t = (f.read_row_groups(keep) if keep
+        t = (f.read_row_groups(keep, use_threads=False) if keep
              else f.schema_arrow.empty_table())
     conv = t.column("conv_id")
     return t.filter(pc.is_in(conv, value_set=pa.array(convs, conv.type)))
@@ -322,13 +322,12 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     Two executors, chosen like ``read_lake``'s by
     ``replay.read_in_driver`` over the planned files' footer bytes: a
     plan within Ray Data's block target runs every partition in the
-    driver and returns one block through ``replay.driver_dataset``; a
+    driver and returns one block through ``readers.driver_dataset``; a
     larger plan runs one Ray task per partition (``from_arrow_refs``)."""
     import ray
     import ray.data as rd
-    from migration_pair_ray.pipelines.replay import (driver_dataset,
-                                                     read_footer,
-                                                     read_in_driver)
+    from migration_pair_ray.pipelines.replay import read_footer, read_in_driver
+    from migration_pair_ray.sources.readers import driver_dataset
     from migration_pair_ray.schemas import unify_change_schemas
 
     meta = LakeMeta(cfg.lake_dir)

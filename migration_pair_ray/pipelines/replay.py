@@ -47,6 +47,7 @@ from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
 from migration_pair_ray.functions.normalize import make_normalizer
 from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
+from migration_pair_ray.sources.readers import driver_dataset
 from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, RAW_LSN_COLS,
                                                merge_partition,
                                                read_state_table,
@@ -422,7 +423,9 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
             cols = (None if columns is None else
                     [c for c in columns if c in f.schema_arrow.names]
                     or ["lsn"])
-            out.append(norm(f.read(columns=cols)))
+            # no Arrow thread pool, as Ray Data's Parquet read tasks
+            # decode: a state file is a row group or a few
+            out.append(norm(f.read(columns=cols, use_threads=False)))
     if not out:
         return pruned.empty_table()
     return (out[0] if len(out) == 1
@@ -439,7 +442,7 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
     pinned manifest and every footer (schema + uncompressed bytes), and
     ``read_in_driver`` picks the executor from the planned bytes: a read
     within Ray Data's block target runs ``read_partition`` for every
-    partition in the driver and returns ONE ``from_arrow`` block; a
+    partition in the driver and returns ONE block (``driver_dataset``); a
     larger one streams plain partitions through ``read_parquet`` and runs
     ``read_partition`` in one task per merge-on-read/``finalize``
     partition.  Both conform to the same unified schema with the same
@@ -592,24 +595,6 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     if rows is not None:
         ds = ds.map_batches(rows, batch_format="pyarrow")
     return ds.sort(sort) if sort else ds
-
-
-def driver_dataset(tables: list[pa.Table], rows=None,
-                   sort: list[str] | None = None) -> "ray.data.Dataset":
-    """The driver executor's tail, shared by every driver-built read
-    (``read_lake``, ``final_state``, ``lookup.fetch_conversations``): the
-    tables as ONE block, handed over already executed.  A materialized
-    ``from_arrow`` plan starts no streaming executor when consumed, and
-    the returned Dataset is the block's only owner, so dropping it frees
-    the block; a lazy plan holds it in reference cycles, pinned in the
-    object store until Python's cyclic GC runs."""
-    t = (tables[0] if len(tables) == 1
-         else pa.concat_tables(tables, promote_options="permissive"))
-    if rows is not None:
-        t = rows(t)
-    if sort:
-        t = t.sort_by([(k, "ascending") for k in sort])
-    return ray.data.from_arrow(t).materialize()
 
 
 def repartition_lake(cfg: JobConfig, new_cfg: JobConfig) -> dict:

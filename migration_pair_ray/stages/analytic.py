@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
+from migration_pair_ray.sources.readers import driver_dataset
 from migration_pair_ray.stages.windows import _coarse_key_bucket, _default_coarse
 
 
@@ -425,7 +426,7 @@ def rollup_aggregate(ds: "ray.data.Dataset", keys: list[str],
     grand = pa.table({**{k: pa.array([all_marker], pa.string()) for k in keys},
                       "value_sum": pa.array([tot["value_sum"]], pa.float64()),
                       "n": pa.array([int(tot["n"])], pa.int64())})
-    levels.append(ray.data.from_arrow(grand))
+    levels.append(driver_dataset([grand]))
     out = levels[0]
     for lv in levels[1:]:
         out = out.union(lv)

@@ -28,6 +28,7 @@ from migration_pair_ray.functions.hashing import (
     simhash64,
     stable_hash64,
 )
+from migration_pair_ray.sources.readers import driver_dataset
 
 # ------------------------------------------------------------------ exact
 
@@ -312,7 +313,6 @@ def connected_components(pairs: "ray.data.Dataset",
     pairs = pairs.materialize()    # bounded by LSH bucketing; executed once
     if pairs.count() > driver_max_edges:
         return connected_components_distributed(pairs)
-    rows = pairs.select_columns(["a", "b"]).take_all()
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -323,8 +323,13 @@ def connected_components(pairs: "ray.data.Dataset",
             parent[x], x = root, parent[x]
         return root
 
-    for r in rows:
-        a, b = int(r["a"]), int(r["b"])
+    # the materialized blocks as they are: a lazy projection would start
+    # an executor and leave its output block pinned until the cyclic GC
+    edges = [(int(a), int(b)) for t in pairs.iter_batches(
+                 batch_size=None, batch_format="pyarrow")
+             for a, b in zip(t.column("a").to_pylist(),
+                             t.column("b").to_pylist())]
+    for a, b in edges:
         parent.setdefault(a, a)
         parent.setdefault(b, b)
         ra, rb = find(a), find(b)
@@ -334,10 +339,10 @@ def connected_components(pairs: "ray.data.Dataset",
 
     nodes = sorted(parent)
     clusters = [find(n) for n in nodes]
-    return ray.data.from_arrow(pa.table({
+    return driver_dataset([pa.table({
         "doc_id": pa.array(nodes, pa.int64()),
         "cluster": pa.array(clusters, pa.int64()),
-    }))
+    })])
 
 
 def connected_components_distributed(pairs: "ray.data.Dataset",
@@ -816,7 +821,7 @@ def ngram_jaccard_pairs(ds: "ray.data.Dataset", threshold: float = 0.8,
     # candidate pipeline is NOT re-executed
     pairs_tbl = pa.table({"a": pa.array(ab[:, 0]), "b": pa.array(ab[:, 1]),
                           "sim": pa.array(np.zeros(len(ab), dtype=np.float64))})
-    return ray.data.from_arrow(pairs_tbl).map_batches(
+    return driver_dataset([pairs_tbl]).map_batches(
         exact_verify, batch_format="pyarrow")
 
 

@@ -366,3 +366,40 @@ def test_fingerprint_index_compaction(tmp_path):
     again = exact_dedup_incremental(ray.data.from_pandas(new), idx,
                                     tag="b1")
     assert again.count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_consumed_components_leave_no_block_pinned():
+    """``connected_components`` hands its driver-built answer over
+    already executed: after five consumed calls with Python's cyclic GC
+    off, the driver owns no more object refs than before them.  A block
+    held in a reference cycle stays pinned for good with the GC off; the
+    short wait only lets the ref of a call still in flight settle."""
+    import gc
+    import time
+
+    from ray._private.worker import global_worker
+
+    from migration_pair_ray.sources.readers import driver_dataset
+    from migration_pair_ray.stages.dedup import connected_components
+
+    def refs() -> int:
+        return len(global_worker.core_worker.get_all_reference_counts())
+
+    pairs = driver_dataset([pa.table({
+        "a": pa.array([1, 2, 5, 7, 20], pa.int64()),
+        "b": pa.array([2, 3, 6, 8, 21], pa.int64())})])
+    assert len(connected_components(pairs).take_all()) == 9   # warm-up
+    gc.collect()
+    before = refs()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert len(connected_components(pairs).take_all()) == 9
+        deadline = time.monotonic() + 2
+        while refs() > before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        after = refs()
+    finally:
+        gc.enable()
+    assert after <= before

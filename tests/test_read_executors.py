@@ -1,17 +1,27 @@
 """The lake read's two executors (``replay.read_in_driver``): a lake whose
 Parquet footers declare at most Ray Data's block target is read in the
 driver into ONE block; a larger one runs on Ray Data.  Both must give the
-DuckDB last-writer-wins answer."""
+DuckDB last-writer-wins answer.  The driver executor hands its block to
+Ray Data with one ``ray.put`` and no remote task, and decodes state files
+without Arrow's thread pool, as Ray Data's own read tasks do."""
+
+import re
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
 from migration_pair_ray.changegen import generate_change_log
 from migration_pair_ray.config import JobConfig
-from migration_pair_ray.pipelines.lookup import fetch_conversations
-from migration_pair_ray.pipelines.replay import final_state, read_footer, replay
+from migration_pair_ray.pipelines.lookup import (fetch_conversations,
+                                                 read_covering_row_groups)
+from migration_pair_ray.pipelines.replay import (final_state, read_footer,
+                                                 read_partition, replay)
+from migration_pair_ray.schemas import unify_change_schemas
+from migration_pair_ray.sources.readers import driver_dataset
 from migration_pair_ray.stages.applier import state_file_paths
 from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
 
@@ -171,3 +181,143 @@ def test_turn_lookup_opens_one_file_of_each_kind(tmp_path, monkeypatch):
              else p for p in opened]
     assert sorted(kinds) == ["_lake_meta.json", "manifest", "sidecar",
                              "state"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_driver_reads_hand_over_with_one_put(tmp_path, monkeypatch):
+    """A driver-built scan or fetch hands its one block to Ray Data with
+    one ``ray.put`` and nothing more: no ``from_arrow`` or
+    ``from_arrow_refs`` (a remote metadata task per block) and no
+    ``materialize`` (two more Dataset constructions and a second plan
+    execution)."""
+    cfg, files = _bench_shaped_lake(tmp_path)
+    want = _oracle(files)
+    convs = sorted(want["conv_id"].unique())[:3]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a driver-built read called {name}")
+        return call
+
+    put = ray.put
+    puts: list[int] = []
+
+    def counting_put(*args, **kwargs):
+        puts.append(1)
+        return put(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "from_arrow", refuse("from_arrow"))
+    monkeypatch.setattr(ray.data, "from_arrow_refs", refuse("from_arrow_refs"))
+    monkeypatch.setattr(ray.data.Dataset, "materialize", refuse("materialize"))
+    monkeypatch.setattr(ray, "put", counting_put)
+    for read, rows in ((lambda: final_state(cfg, sort=False), len(want)),
+                       (lambda: fetch_conversations(cfg, convs),
+                        int(want["conv_id"].isin(convs).sum()))):
+        puts.clear()
+        assert _consume(read()) == rows
+        assert len(puts) == 1
+
+
+def _stats_shape(stats: str) -> list[str]:
+    """A ``Dataset.stats()`` report without its timings and sizes."""
+    return [re.sub(r"[0-9][0-9.e+-]*", "#", line)
+            for line in stats.splitlines()]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_driver_dataset_matches_materialized_from_arrow(tmp_path):
+    """``driver_dataset`` builds the Dataset ``from_arrow(t).materialize()``
+    builds, without its remote task and extra copies: the same schema,
+    counts, block, stats report and rows, and the same answers when Ray
+    Data stacks transforms on it or unions it with one of its own reads.
+    It builds Ray 2.49's ``InputData``/``RefBundle`` plan by hand, so this
+    is also the test that catches a Ray upgrade moving those classes."""
+    t = pa.concat_tables([
+        pa.table({"k": pa.array(range(i * 50, i * 50 + 50), pa.int64()),
+                  "s": pa.array([f"v{j % 7}" for j in range(50)])})
+        for i in range(4)])
+    assert t.column("k").num_chunks == 4
+    ours = driver_dataset([t])
+    theirs = ray.data.from_arrow(t).materialize()
+    assert type(ours) is type(theirs)
+    assert ours.schema() == theirs.schema()
+    assert ours.count() == theirs.count() == t.num_rows
+    assert ours.num_blocks() == theirs.num_blocks() == 1
+    assert _stats_shape(ours.stats()) == _stats_shape(theirs.stats())
+    assert ours.take_all() == theirs.take_all()
+    pd.testing.assert_frame_equal(ours.to_pandas(), theirs.to_pandas())
+
+    def stacked(ds):
+        return (ds.map_batches(lambda b: b.filter(pa.compute.greater(
+                    b.column("k"), 20)), batch_format="pyarrow")
+                .map_batches(lambda b: b.append_column(
+                    "k2", pa.compute.multiply(b.column("k"), 2)),
+                    batch_format="pyarrow"))
+
+    assert stacked(ours).take_all() == stacked(theirs).take_all()
+    path = tmp_path / "extra.parquet"
+    pq.write_table(t.slice(0, 30), str(path))
+    read = ray.data.read_parquet(str(path))
+
+    def rows(ds):
+        return sorted((r["k"], r["s"]) for r in ds.take_all())
+
+    assert rows(ours.union(read)) == rows(theirs.union(read))
+    assert len(rows(ours.union(read))) == t.num_rows + 30
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("layout", ["plain", "chunked", "cell"])
+def test_thread_free_decode_is_byte_neutral(tmp_path, monkeypatch, layout):
+    """The driver executor decodes state files as Ray Data's Parquet
+    read tasks do, without Arrow's thread pool.  For the largest
+    partition of each state layout, ``read_partition`` and
+    ``read_covering_row_groups`` return tables equal to the threaded
+    decode."""
+    log = tmp_path / "log"
+    generate_change_log(str(log), n_events=3000, n_convs=30, n_files=3,
+                        tool_epoch=1, dup_frac=0.03, seed=8)
+    kw = {"plain": {}, "chunked": {"state_chunk_rows": 40},
+          "cell": {"merge_kernel": "cell"}}[layout]
+    cfg = JobConfig(changelog_dir=str(log), lake_dir=str(tmp_path / "lake"),
+                    num_partitions=4, **kw)
+    replay(cfg)
+    store = ManifestStore(cfg.manifest_dir)
+    m = max((store.read(p) for p in range(cfg.num_partitions)),
+            key=lambda m: m["row_count"])
+    paths = state_file_paths(cfg.lake_dir, m)
+    assert len(paths) > 1 if layout == "chunked" else len(paths) == 1
+    schema = unify_change_schemas([read_footer(p)[0] for p in paths])
+    kernel = LakeMeta(cfg.lake_dir).merge_kernel()
+    convs = sorted({c for p in paths for c in pq.read_table(
+        p, columns=["conv_id"]).column("conv_id").to_pylist()})[::2]
+
+    def reads():
+        return ([read_partition(cfg.lake_dir, m, kernel, schema),
+                 read_partition(cfg.lake_dir, m, kernel, schema,
+                                columns=["conv_id", "turn_idx", "text"])]
+                + [read_covering_row_groups(p, convs) for p in paths])
+
+    threads: list[bool] = []
+
+    def spy(orig, force=None):
+        def call(self, *args, **kwargs):
+            if force is not None:
+                kwargs["use_threads"] = force
+            threads.append(kwargs.get("use_threads", True))
+            return orig(self, *args, **kwargs)
+        return call
+
+    decode = pq.ParquetFile.read, pq.ParquetFile.read_row_groups
+    monkeypatch.setattr(pq.ParquetFile, "read", spy(decode[0]))
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy(decode[1]))
+    got = reads()
+    assert threads and not any(threads)
+    monkeypatch.setattr(pq.ParquetFile, "read", spy(decode[0], True))
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
+                        spy(decode[1], True))
+    want = reads()
+    assert all(t.num_rows for t in want[:2])
+    assert sum(t.num_rows for t in want[2:])
+    for g, w in zip(got, want):
+        assert g.equals(w)

@@ -191,3 +191,37 @@ def test_composes_with_quarantine(tmp_lake, tmp_path):
     assert s["txn_held"] == 0
     got = final_state(cfg, sort=True).to_pandas()
     assert len(got) == 7                  # 8 committed rows - 1 quarantined
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_driver_pass_scans_markers_without_tasks(tmp_lake, monkeypatch):
+    """A txn-gated pass that fits one block reads its commit markers in
+    the driver, like the rest of the pass: no remote function runs."""
+    from ray.remote_function import RemoteFunction
+
+    from migration_pair_ray.tasks import task_history
+    log, lake = tmp_lake
+    ev = _mk_events(12, lambda i: "t0" if i < 4 else ("t1" if i < 8 else None))
+    pq.write_table(ev, f"{log}/batch-00000-000-011.parquet")
+    pq.write_table(_marker("t0", 100), f"{log}/batch-00001-100-100.parquet")
+    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=4,
+                    txn_boundary=True)
+    remote = RemoteFunction._remote
+    called: list[str] = []
+
+    def counting(self, *args, **kwargs):
+        called.append(self._function_name)
+        return remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counting)
+    r = replay(cfg)
+    monkeypatch.undo()
+    assert (r["txn_markers"], r["txn_held"]) == (1, 4)
+    (rec,) = task_history(cfg)["passes"]
+    assert rec["executor"] == "driver"
+    assert called == []
+    got = final_state(cfg, sort=True).to_pandas()
+    want = duckdb.sql(COMMITTED_ORACLE.format(log=log)).df()
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  want.reset_index(drop=True),
+                                  check_dtype=False)
