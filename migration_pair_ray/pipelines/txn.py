@@ -100,40 +100,19 @@ def _last_committed_pass(cfg) -> str | None:
     return max(seqs, key=seqs.get) if seqs else None
 
 
-def _file_markers(path: str) -> list[str]:
-    """Distinct commit-marker txn ids in one change file, read
-    column-pruned (op + txn_id only)."""
-    t = pq.read_table(path, columns=["op", TXN_COL])
-    m = t.filter(pc.equal(t.column("op"), OP_COMMIT))
-    return pc.unique(m.column(TXN_COL)).drop_null().to_pylist()
-
-
-_file_markers_task = ray.remote(num_cpus=0.5)(_file_markers)
-
-
 def scan_new_markers(files: list[str]) -> list[str]:
-    """Distinct commit-marker txn ids across this pass's NEW change files.
-    Files without a txn_id column cannot carry markers and are skipped
-    (footer check).  Planned like the pass: ``read_in_driver`` gets the
-    uncompressed bytes of the op and txn_id column chunks the footers
-    declare; within Ray Data's block target the files are read in the
-    driver, above it in one small Ray task per file."""
-    from migration_pair_ray.pipelines.replay import read_in_driver
-    with_txn, nbytes = [], 0
+    """Distinct commit-marker txn ids across this pass's NEW change files,
+    read in the driver and column-pruned (op + txn_id only); files
+    without a txn_id column cannot carry markers and are skipped from the
+    read entirely (footer check)."""
+    out: set[str] = set()
     for f in files:
-        md = pq.read_metadata(f)
-        if TXN_COL not in md.schema.names:
+        if TXN_COL not in pq.read_schema(f).names:
             continue
-        with_txn.append(f)
-        cols = [j for j in range(md.num_columns)
-                if md.schema.column(j).name in ("op", TXN_COL)]
-        nbytes += sum(md.row_group(i).column(j).total_uncompressed_size
-                      for i in range(md.num_row_groups) for j in cols)
-    if read_in_driver(nbytes):
-        found = map(_file_markers, with_txn)
-    else:
-        found = ray.get([_file_markers_task.remote(f) for f in with_txn])
-    return sorted({i for ids in found for i in ids})
+        t = pq.read_table(f, columns=["op", TXN_COL])
+        m = t.filter(pc.equal(t.column("op"), OP_COMMIT))
+        out.update(pc.unique(m.column(TXN_COL)).drop_null().to_pylist())
+    return sorted(out)
 
 
 def registry_ids(cfg) -> set[str]:

@@ -28,42 +28,25 @@ def driver_dataset(tables: list[pa.Table], rows=None,
     stage built in the driver.  ``rows`` (a ``pa.Table -> pa.Table``) and
     the ``sort`` keys apply to the concatenated table first.
 
-    Built the way ``Dataset.materialize()`` builds its output (Ray 2.49,
-    ``ray/data/dataset.py``): the table's chunks combined and put once,
-    its block metadata computed here, one ``RefBundle`` under an
-    ``InputData`` plan that is executed once, in place.  That skips what
+    Built with Ray Data's ``from_blocks`` (Ray 2.49): the table's chunks
+    combined and put once, its block metadata computed here, and the
+    plan executed once, in place, which takes the source operator's
+    output as it is and runs no task.  That skips what
     ``from_arrow(t).materialize()`` adds: a remote metadata task per
     block, two more Dataset constructions (a stats-actor call each) and a
     second plan execution; and a put of one chunk per column is cheaper
     than a put of many.  Consuming the result starts no streaming
     executor, and the Dataset is the block's only owner, so dropping it
-    frees the block; a lazy ``from_arrow`` plan holds its block in
-    reference cycles, pinned until Python's cyclic GC runs."""
-    from ray.data._internal.execution.interfaces import RefBundle
-    from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.input_data_operator import \
-        InputData
-    from ray.data._internal.plan import ExecutionPlan
-    from ray.data._internal.stats import DatasetStats
-    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
-    from ray.data.dataset import MaterializedDataset
-
+    frees the block; a lazy ``from_arrow`` or ``from_blocks`` plan holds
+    its block in reference cycles, pinned until Python's cyclic GC
+    runs."""
     t = (tables[0] if len(tables) == 1
          else pa.concat_tables(tables, promote_options="permissive"))
     if rows is not None:
         t = rows(t)
     if sort:
         t = t.sort_by([(k, "ascending") for k in sort])
-    t = t.combine_chunks()
-    meta = BlockMetadataWithSchema.from_block(
-        t, stats=BlockExecStats.builder().build())
-    bundle = RefBundle([(ray.put(t), meta.metadata)], owns_blocks=False,
-                       schema=meta.schema)
-    ctx = ray.data.DataContext.get_current().copy()
-    ds = MaterializedDataset(
-        ExecutionPlan(DatasetStats(metadata={"FromArrow": [meta]},
-                                   parent=None), data_context=ctx),
-        LogicalPlan(InputData(input_data=[bundle]), ctx))
+    ds = ray.data.from_blocks([t.combine_chunks()])
     ds._plan.execute()     # no task: marks the plan executed, as materialize()
     return ds
 

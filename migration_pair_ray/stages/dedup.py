@@ -325,17 +325,14 @@ def connected_components(pairs: "ray.data.Dataset",
 
     # the materialized blocks as they are: a lazy projection would start
     # an executor and leave its output block pinned until the cyclic GC
-    edges = [(int(a), int(b)) for t in pairs.iter_batches(
-                 batch_size=None, batch_format="pyarrow")
-             for a, b in zip(t.column("a").to_pylist(),
-                             t.column("b").to_pylist())]
-    for a, b in edges:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
+    for t in pairs.iter_batches(batch_size=None, batch_format="pyarrow"):
+        for a, b in zip(t.column("a").to_pylist(), t.column("b").to_pylist()):
+            parent.setdefault(a, a)
+            parent.setdefault(b, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                lo, hi = (ra, rb) if ra < rb else (rb, ra)
+                parent[hi] = lo
 
     nodes = sorted(parent)
     clusters = [find(n) for n in nodes]

@@ -369,37 +369,36 @@ def test_fingerprint_index_compaction(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_consumed_components_leave_no_block_pinned():
+def test_consumed_components_leave_no_block_pinned(monkeypatch):
     """``connected_components`` hands its driver-built answer over
-    already executed: after five consumed calls with Python's cyclic GC
-    off, the driver owns no more object refs than before them.  A block
-    held in a reference cycle stays pinned for good with the GC off; the
-    short wait only lets the ref of a call still in flight settle."""
+    already executed: with Python's cyclic GC off, no object the driver
+    put during five consumed calls is still referenced once their
+    Datasets are dropped.  A block held in a reference cycle stays pinned
+    for good with the GC off."""
     import gc
-    import time
 
     from ray._private.worker import global_worker
 
-    from migration_pair_ray.sources.readers import driver_dataset
     from migration_pair_ray.stages.dedup import connected_components
 
-    def refs() -> int:
-        return len(global_worker.core_worker.get_all_reference_counts())
-
-    pairs = driver_dataset([pa.table({
+    pairs = ray.data.from_arrow(pa.table({
         "a": pa.array([1, 2, 5, 7, 20], pa.int64()),
-        "b": pa.array([2, 3, 6, 8, 21], pa.int64())})])
-    assert len(connected_components(pairs).take_all()) == 9   # warm-up
-    gc.collect()
-    before = refs()
+        "b": pa.array([2, 3, 6, 8, 21], pa.int64())})).materialize()
+    put = ray.put
+    made: set[bytes] = set()
+
+    def recording_put(*args, **kwargs):
+        ref = put(*args, **kwargs)
+        made.add(ref.hex().encode())
+        return ref
+
+    monkeypatch.setattr(ray, "put", recording_put)
     gc.disable()
     try:
         for _ in range(5):
             assert len(connected_components(pairs).take_all()) == 9
-        deadline = time.monotonic() + 2
-        while refs() > before and time.monotonic() < deadline:
-            time.sleep(0.05)
-        after = refs()
+        alive = set(global_worker.core_worker.get_all_reference_counts())
     finally:
         gc.enable()
-    assert after <= before
+    assert len(made) >= 5
+    assert not made & alive
