@@ -76,7 +76,13 @@ def normalize_batch(batch: pa.Table, target: pa.Schema) -> pa.Table:
     approaches the 32-bit offset cap leave as ``large_string`` /
     ``large_binary`` regardless of the target's declared type — the merge
     kernels downstream sort and concatenate, which a >2 GiB 32-bit-offset
-    column cannot survive (see ``promote_large_strings``)."""
+    column cannot survive (see ``promote_large_strings``).  A batch whose
+    fields already equal the target's (every state file of an unevolved
+    lake) only takes the large-string check, not a column-by-column
+    rebuild; either way the result carries no schema-level metadata."""
+    if batch.schema.remove_metadata().equals(target.remove_metadata(),
+                                             check_metadata=True):
+        return promote_large_strings(batch.replace_schema_metadata())
     n = batch.num_rows
     cols = []
     fields = []

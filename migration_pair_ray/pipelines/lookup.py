@@ -187,13 +187,16 @@ def candidate_plan(cfg: JobConfig, conv_ids: list[str],
     return out
 
 
-def read_covering_row_groups(path: str, convs: list[str]) -> pa.Table:
+def read_covering_row_groups(path: str, convs: list[str],
+                             metadata: pq.FileMetaData | None = None
+                             ) -> pa.Table:
     """One state file's rows whose ``conv_id`` is in ``convs`` (sorted),
     from ONE open of the file: a row group is decoded only if its
     ``conv_id`` min/max statistics can hold a requested conv (every row
     group when the file has no such statistics), then the rows are
-    filtered exactly."""
-    with pq.ParquetFile(path) as f:
+    filtered exactly.  ``metadata`` is the file's footer when a planner
+    already parsed it."""
+    with pq.ParquetFile(path, metadata=metadata) as f:
         md = f.metadata
         col = md.schema.names.index("conv_id")
         keep = []
@@ -212,7 +215,8 @@ def read_covering_row_groups(path: str, convs: list[str]) -> pa.Table:
 
 
 def _pid_rows(lake_dir: str, rels: list[str], convs: list[str], kernel: str,
-              schema: pa.Schema | None = None) -> pa.Table | None:
+              schema: pa.Schema | None = None,
+              footers: dict | None = None) -> pa.Table | None:
     """One planned partition's rows for ``convs`` (None when no file
     holds any): each file read once by ``read_covering_row_groups`` and
     conformed to ``schema`` when given.  The kernel fold runs only when
@@ -220,11 +224,13 @@ def _pid_rows(lake_dir: str, rels: list[str], convs: list[str], kernel: str,
     have two versions (base + merge-on-read deltas, or chunks); one state
     file already holds the reduced form.  Valid per partition: a key
     lives in exactly one partition and the plan lists every file covering
-    it, so the fold sees each key's complete row set."""
+    it, so the fold sees each key's complete row set.  ``footers`` maps a
+    lake-relative path to its parsed footer when the caller has it."""
     from migration_pair_ray.schemas import conform_batch
     tables = []
     for rel in rels:
-        t = read_covering_row_groups(str(Path(lake_dir) / rel), convs)
+        t = read_covering_row_groups(str(Path(lake_dir) / rel), convs,
+                                     (footers or {}).get(rel))
         if t.num_rows:
             tables.append(t if schema is None else conform_batch(t, schema))
     if len(tables) <= 1:
@@ -281,7 +287,8 @@ def lookup_keys(cfg: JobConfig, conv_ids: list[str],
 
 def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
                      kernel: str, visible_only: bool,
-                     schema: pa.Schema) -> pa.Table:
+                     schema: pa.Schema, footers: dict | None = None
+                     ) -> pa.Table:
     """One partition's rows for the requested conversations (sorted
     ``want``): ``_pid_rows`` (one open per file, covering row groups
     only, a kernel fold where base + MoR deltas or chunks both hold rows),
@@ -293,8 +300,9 @@ def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
     schema evolution can otherwise leave one partition's state without a
     later column (or with a different field order), and the empty branch
     goes through the same conform+finalize so a bloom false positive
-    cannot emit a differently-shaped block."""
-    out = _pid_rows(lake_dir, rels, want, kernel, schema)
+    cannot emit a differently-shaped block.  ``footers``: as in
+    ``_pid_rows`` (the driver executor passes the planner's)."""
+    out = _pid_rows(lake_dir, rels, want, kernel, schema, footers)
     if out is None:
         out = schema.empty_table()
     if visible_only:
@@ -321,13 +329,15 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
 
     Two executors, chosen like ``read_lake``'s by
     ``replay.read_in_driver`` over the planned files' footer bytes: a
-    plan within Ray Data's block target runs every partition in the
-    driver and returns one block through ``readers.driver_dataset``; a
-    larger plan runs one Ray task per partition (``from_arrow_refs``)."""
+    plan within Ray Data's block target runs the partitions on the
+    driver's CPUs (``readers.map_in_driver``, each file opened once) and
+    returns one block through ``readers.driver_dataset``; a larger plan
+    runs one Ray task per partition (``from_arrow_refs``)."""
     import ray
     import ray.data as rd
     from migration_pair_ray.pipelines.replay import read_footer, read_in_driver
-    from migration_pair_ray.sources.readers import driver_dataset
+    from migration_pair_ray.sources.readers import (driver_dataset,
+                                                    map_in_driver)
     from migration_pair_ray.schemas import unify_change_schemas
 
     meta = LakeMeta(cfg.lake_dir)
@@ -343,18 +353,20 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     # one footer-read pass unifies the planned files' schemas (evolution:
     # a partition untouched since before a column appeared must still emit
     # union-compatible blocks) and sizes the plan for the executor choice
-    footers = [read_footer(str(Path(cfg.lake_dir) / r))
-               for e in plan.values() for r in e["files"]]
-    schema = unify_change_schemas([s for s, _ in footers])
+    rels = [r for e in plan.values() for r in e["files"]]
+    footers = map_in_driver(read_footer,
+                            [str(Path(cfg.lake_dir) / r) for r in rels])
+    schema = unify_change_schemas([s for s, _, _ in footers])
     # per-pid conv subsets come from the plan: under routed layouts each
     # partition holds only its own convs — shipping the full request to
     # every task is O(P·|want|); a mixed hot-mode request ships the cold
     # convs only to their routed partition (whales to all)
-    if read_in_driver(sum(n for _, n in footers)):
-        return driver_dataset(
-            [_fetch_pid_table(cfg.lake_dir, e["files"], e["convs"], kernel,
-                              visible_only, schema)
-             for pid, e in sorted(plan.items())])
+    if read_in_driver(sum(n for _, n, _ in footers)):
+        mds = {r: md for r, (_, _, md) in zip(rels, footers)}
+        return driver_dataset(map_in_driver(
+            lambda e: _fetch_pid_table(cfg.lake_dir, e["files"], e["convs"],
+                                       kernel, visible_only, schema, mds),
+            [e for _, e in sorted(plan.items())]))
     fn = ray.remote(num_cpus=1)(_fetch_pid_table)
     refs = [fn.remote(cfg.lake_dir, e["files"], e["convs"], kernel,
                       visible_only, schema)

@@ -4,7 +4,8 @@
       → plan: footer bytes of the change files + the lake's pinned state
               (read_in_driver: at most one Ray Data block?)
       ├─ driver executor (fits one block)
-      │    pyarrow read per file → normalize → batch fns (gates)
+      │    pyarrow read + normalize per file (map_in_driver: one thread per
+      │    CPU of the driver) → batch fns (gates, in file order)
       │    → combine_changes ONCE over the pass  (LWW reduce, hash-partition
       │                                           column, raw lsn range)
       │    → merge_partition for each partition in turn
@@ -47,7 +48,8 @@ from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
 from migration_pair_ray.functions.normalize import make_normalizer
 from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
-from migration_pair_ray.sources.readers import driver_dataset
+from migration_pair_ray.sources.readers import (driver_dataset, map_in_driver,
+                                                read_parquet_file)
 from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, RAW_LSN_COLS,
                                                merge_partition,
                                                read_state_table,
@@ -77,12 +79,13 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
     the change files' footers and the lake's pinned state files declare
     and asks ``read_in_driver``, the lake read's predicate:
 
-    * driver executor: each file is read with pyarrow and runs its
-      ``fns`` (per file, as the distributed read runs them per block, so
-      content-addressed gate outputs collapse the same duplicates); the
-      pass is reduced ONCE, routed, and ``merge_fn`` runs for each
-      partition in turn in this process.  No Ray Data plan, exchange or
-      task is started.
+    * driver executor: the files are read and normalized on the driver's
+      CPUs (``map_in_driver``, one open per file: the planner's footer
+      is reused), then each runs its ``fns`` in file order (per file, as
+      the distributed read runs them per block, so content-addressed gate
+      outputs collapse the same duplicates); the pass is reduced ONCE,
+      routed, and ``merge_fn`` runs for each partition in turn in this
+      process.  No Ray Data plan, exchange or task is started.
     * Ray Data executor: ``apply_dataset`` on the streaming read.
 
     ``splits`` is the lake's incremental-split map (LakeMeta.splits):
@@ -92,8 +95,9 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
     (refill: the partition's retained history is gone).  ``merge_fn`` is
     the per-partition merge (``merge_partition``'s signature); tests swap
     in a fault-injecting one (testing.py)."""
-    nbytes = (sum(read_footer(f)[1] for files, _ in sources for f in files)
-              + _pinned_state_bytes(cfg))
+    inputs = [(f, fns) for files, fns in sources for f in files]
+    footers = map_in_driver(read_footer, [f for f, _ in inputs])
+    nbytes = sum(n for _, n, _ in footers) + _pinned_state_bytes(cfg)
     if not read_in_driver(nbytes):
         with _push_shuffle():
             ds = None
@@ -106,14 +110,15 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
                                     hot_convs, lineage_break, merge_fn)
         return lineage, {"executor": "ray_data", "planned_bytes": nbytes}
     norm = make_normalizer(schema)
+    tables = map_in_driver(
+        lambda i: norm(read_parquet_file(inputs[i][0],
+                                         metadata=footers[i][2])),
+        range(len(inputs)))
     parts = []
-    for files, fns in sources:
-        for f in files:
-            with pq.ParquetFile(f) as pf:
-                t = norm(pf.read())
-            for fn in fns:
-                t = fn(t)
-            parts.append(t)
+    for t, (_, fns) in zip(tables, inputs):
+        for fn in fns:
+            t = fn(t)
+        parts.append(t)
     changes = combine_changes(
         pa.concat_tables(parts, promote_options="permissive"), cfg, splits,
         hot_convs)
@@ -163,10 +168,11 @@ def _pinned_state_bytes(cfg: JobConfig) -> int:
     from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
                                                    record_files)
     store = ManifestStore(cfg.manifest_dir)
-    return sum(read_footer(str(Path(cfg.lake_dir) / f))[1]
-               for pid in LakeMeta(cfg.lake_dir).active_partition_ids(
-                   cfg.num_partitions)
-               for f in record_files(store.read(pid)))
+    paths = [str(Path(cfg.lake_dir) / f)
+             for pid in LakeMeta(cfg.lake_dir).active_partition_ids(
+                 cfg.num_partitions)
+             for f in record_files(store.read(pid))]
+    return sum(n for _, n, _ in map_in_driver(read_footer, paths))
 
 
 def apply_dataset(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
@@ -373,17 +379,23 @@ def read_in_driver(nbytes: int) -> bool:
     tasks, streaming-executor start-up, and for a pass the groupby
     exchange and merge tasks); larger work runs on Ray Data.
     ``read_lake``, ``final_state``, ``lookup.fetch_conversations`` and
-    every pass through ``apply_changes_ds`` choose here."""
+    every pass through ``apply_changes_ds`` choose here.  The driver
+    executor keeps the parallelism of the read tasks it replaces: its
+    per-file and per-partition work runs on ``map_in_driver``'s threads,
+    one per CPU this process may run on."""
     return nbytes <= ray.data.DataContext.get_current().target_max_block_size
 
 
-def read_footer(path: str) -> tuple[pa.Schema, int]:
-    """A Parquet file's Arrow schema and uncompressed data bytes (its row
-    groups' ``total_byte_size``), from one footer read."""
+def read_footer(path: str) -> tuple[pa.Schema, int, pq.FileMetaData]:
+    """A Parquet file's Arrow schema, uncompressed data bytes (its row
+    groups' ``total_byte_size``) and parsed footer, from one footer read.
+    The planners keep the footer and hand it to the decode
+    (``pq.ParquetFile(path, metadata=...)``), so a planned file is
+    opened and parsed once."""
     md = pq.read_metadata(path)
     return (md.schema.to_arrow_schema(),
             sum(md.row_group(i).total_byte_size
-                for i in range(md.num_row_groups)))
+                for i in range(md.num_row_groups)), md)
 
 
 def _project(t: pa.Table, columns: list[str] | None) -> pa.Table:
@@ -394,7 +406,7 @@ def _project(t: pa.Table, columns: list[str] | None) -> pa.Table:
 
 def read_partition(lake_dir: str, manifest: dict, kernel: str,
                    schema: pa.Schema, columns: list[str] | None = None,
-                   finalize=None) -> pa.Table:
+                   finalize=None, footers: dict | None = None) -> pa.Table:
     """One pinned partition's committed state as one table conformed to
     ``schema`` (the read's unified footer schema) — the per-partition
     kernel both lake-read executors share: the driver executor calls it
@@ -408,9 +420,13 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
     ``columns`` prunes at the Parquet read: each file reads the requested
     columns its footer carries (a file carrying none of them reads the
     ``lsn`` rider for its row count) and the normalizer backfills typed
-    nulls for the rest."""
+    nulls for the rest.  ``footers`` maps a file's absolute path to the
+    footer the planner parsed (``read_footer``), so each file is opened
+    and parsed once."""
+    footers = footers or {}
     if manifest.get("delta_files") or finalize is not None:
-        t = read_state_table(lake_dir, manifest, kernel=kernel)
+        t = read_state_table(lake_dir, manifest, kernel=kernel,
+                             footers=footers)
         t = (make_normalizer(schema)(t) if t is not None and t.num_rows
              else schema.empty_table())
         return _project(finalize(t) if finalize is not None else t, columns)
@@ -419,7 +435,7 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
     norm = make_normalizer(pruned)
     out = []
     for p in state_file_paths(lake_dir, manifest):
-        with pq.ParquetFile(p) as f:
+        with pq.ParquetFile(p, metadata=footers.get(p)) as f:
             cols = (None if columns is None else
                     [c for c in columns if c in f.schema_arrow.names]
                     or ["lsn"])
@@ -442,7 +458,9 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
     pinned manifest and every footer (schema + uncompressed bytes), and
     ``read_in_driver`` picks the executor from the planned bytes: a read
     within Ray Data's block target runs ``read_partition`` for every
-    partition in the driver and returns ONE block (``driver_dataset``); a
+    partition in the driver, on one thread per CPU the driver may run on
+    (``map_in_driver``) and with each file opened once (the planner's
+    footer is reused), and returns ONE block (``driver_dataset``); a
     larger one streams plain partitions through ``read_parquet`` and runs
     ``read_partition`` in one task per merge-on-read/``finalize``
     partition.  Both conform to the same unified schema with the same
@@ -482,8 +500,9 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     """``read_lake`` plus two steps ``final_state`` passes into the read:
     ``rows``, a ``pa.Table -> pa.Table`` valid on any slice of the lake
     (row-kernel visibility + projection), and the ``sort`` keys.  The
-    driver executor applies both to its one table; the distributed one
-    stacks them on the Dataset."""
+    driver executor runs ``rows`` on each partition, in the same
+    ``map_in_driver`` call that reads it, and sorts its one combined
+    table; the distributed one stacks both on the Dataset."""
     from migration_pair_ray.state.manifest import (
         CheckpointStore, LakeMeta, ManifestStore, TimeTravelError,
         manifest_as_of, record_files)
@@ -530,9 +549,9 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     if not paths and not mor_manifests:
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         empty = CHANGE_SCHEMA.empty_table()
-        return driver_dataset(
-            [_project(finalize(empty) if finalize is not None else empty,
-                      columns)], rows, sort)
+        empty = _project(finalize(empty) if finalize is not None else empty,
+                         columns)
+        return driver_dataset([empty if rows is None else rows(empty)], sort)
     # Partitions evolve independently (a pass may touch only some), so state
     # files can disagree on schema; conform every batch to the deterministic
     # unified schema (footer reads only). This also drops the hive-inferred
@@ -542,18 +561,23 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     from migration_pair_ray.schemas import unify_change_schemas
     mor_paths = [str(Path(cfg.lake_dir) / f)
                  for m in mor_manifests for f in record_files(m)]
-    footers = [read_footer(p) for p in paths + mor_paths]
-    schema = unify_change_schemas([s for s, _ in footers])
+    footers = map_in_driver(read_footer, paths + mor_paths)
+    schema = unify_change_schemas([s for s, _, _ in footers])
     if columns is not None:
         unknown = [c for c in columns if c not in schema.names]
         if unknown:
             raise ValueError(f"read_lake columns {unknown} not in the "
                              f"lake schema {schema.names}")
     kernel = meta.merge_kernel(layout)
-    if read_in_driver(sum(n for _, n in footers)):
-        return driver_dataset(
-            [read_partition(cfg.lake_dir, m, kernel, schema, columns,
-                            finalize) for m in manifests], rows, sort)
+    if read_in_driver(sum(n for _, n, _ in footers)):
+        mds = {p: md for p, (_, _, md) in zip(paths + mor_paths, footers)}
+
+        def partition(m: dict) -> pa.Table:
+            t = read_partition(cfg.lake_dir, m, kernel, schema, columns,
+                               finalize, mds)
+            return t if rows is None else rows(t)
+
+        return driver_dataset(map_in_driver(partition, manifests), sort)
     parts = []
     if paths:
         if columns is None:
@@ -569,7 +593,7 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
             # always-present rider column for the row count.  The
             # caller's column order is the order ``read_partition`` gives.
             groups: dict[tuple, list[str]] = {}
-            for p, (s, _) in zip(paths, footers):
+            for p, (s, _, _) in zip(paths, footers):
                 key = tuple(c for c in columns if c in s.names)
                 groups.setdefault(key, []).append(p)
             norm = make_normalizer(

@@ -77,6 +77,8 @@ import pyarrow.parquet as pq
 
 import ray
 
+from migration_pair_ray.sources.readers import read_parquet_file
+
 TXN_COL = "txn_id"
 OP_COMMIT = "C"
 
@@ -102,14 +104,15 @@ def _last_committed_pass(cfg) -> str | None:
 
 def scan_new_markers(files: list[str]) -> list[str]:
     """Distinct commit-marker txn ids across this pass's NEW change files,
-    read in the driver and column-pruned (op + txn_id only); files
+    read in the driver (one open per file, no Arrow thread pool) and
+    column-pruned (op + txn_id only); files
     without a txn_id column cannot carry markers and are skipped from the
     read entirely (footer check)."""
     out: set[str] = set()
     for f in files:
         if TXN_COL not in pq.read_schema(f).names:
             continue
-        t = pq.read_table(f, columns=["op", TXN_COL])
+        t = read_parquet_file(f, columns=["op", TXN_COL])
         m = t.filter(pc.equal(t.column("op"), OP_COMMIT))
         out.update(pc.unique(m.column(TXN_COL)).drop_null().to_pylist())
     return sorted(out)

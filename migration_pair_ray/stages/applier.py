@@ -31,6 +31,7 @@ import pyarrow.parquet as pq
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import merge_tables_chunked
 from migration_pair_ray.schemas import MERGE_KEYS
+from migration_pair_ray.sources.readers import read_parquet_file
 from migration_pair_ray.stages.partition import PART_COL
 from migration_pair_ray.state.manifest import ManifestStore
 
@@ -347,7 +348,7 @@ class Applier:
             return changes
         from migration_pair_ray.functions.normalize import make_normalizer
         from migration_pair_ray.schemas import unify_change_schemas
-        tables = [pq.read_table(str(Path(self.lake_dir) / e["file"]))
+        tables = [read_parquet_file(str(Path(self.lake_dir) / e["file"]))
                   for e in files]
         schema = unify_change_schemas([t.schema for t in tables]
                                       + [changes.schema])
@@ -414,7 +415,8 @@ class Applier:
             if hi_c <= lo_c:
                 new_entries.append(ent)        # untouched: carried forward
                 continue
-            chunk_tbl = pq.read_table(str(Path(self.lake_dir) / ent["file"]))
+            chunk_tbl = read_parquet_file(str(Path(self.lake_dir)
+                                              / ent["file"]))
             merged = merge_tables_chunked(chunk_tbl,
                                           changes.slice(lo_c, hi_c - lo_c),
                                           self.cfg.merge_chunk_rows,
@@ -465,7 +467,8 @@ def write_chunk_files(lake_dir: str, merged: pa.Table, chunk_rows: int,
 
 def read_state_table(lake_dir: str, manifest: dict | None,
                      fold_deltas: bool = True,
-                     kernel: str = "row") -> pa.Table | None:
+                     kernel: str = "row",
+                     footers: dict | None = None) -> pa.Table | None:
     """A partition's committed state as one (key-sorted) table — handles
     all layouts: single ``data_file``, chunked ``data_files`` (chunk files
     are key-ordered and internally sorted, so concatenation is the sorted
@@ -473,18 +476,23 @@ def read_state_table(lake_dir: str, manifest: dict | None,
     with the lake's merge kernel — ``kernel`` must match what the lake
     was written with, see ``LakeMeta.merge_kernel`` — so every consumer
     sees the true current state; ``fold_deltas=False`` returns the base
-    only)."""
+    only).  ``footers`` maps a file's absolute path to its parsed footer
+    (``pq.FileMetaData``) when the caller already read it."""
     if not manifest:
         return None
+
+    def read(rel: str) -> pa.Table:
+        path = str(Path(lake_dir) / rel)
+        return read_parquet_file(path, metadata=(footers or {}).get(path))
+
     files = manifest.get("data_files")
     if files is None:
-        base = (pq.read_table(str(Path(lake_dir) / manifest["data_file"]))
-                if manifest.get("data_file") else None)
+        base = (read(manifest["data_file"]) if manifest.get("data_file")
+                else None)
     elif not files:
         base = None
     else:
-        tables = [pq.read_table(str(Path(lake_dir) / e["file"]))
-                  for e in files]
+        tables = [read(e["file"]) for e in files]
         base = (tables[0] if len(tables) == 1
                 else pa.concat_tables(tables, promote_options="permissive"))
     deltas = manifest.get("delta_files") if fold_deltas else None
@@ -493,7 +501,7 @@ def read_state_table(lake_dir: str, manifest: dict | None,
     from migration_pair_ray.functions.lww import merge_tables
     from migration_pair_ray.functions.normalize import make_normalizer
     from migration_pair_ray.schemas import unify_change_schemas
-    dt = [pq.read_table(str(Path(lake_dir) / e["file"])) for e in deltas]
+    dt = [read(e["file"]) for e in deltas]
     schema = unify_change_schemas([t.schema for t in dt])
     norm = make_normalizer(schema)
     return merge_tables(base, pa.concat_tables([norm(t) for t in dt]),

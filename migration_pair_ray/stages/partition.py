@@ -56,7 +56,8 @@ def hash_strings(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
     if isinstance(filled, pa.ChunkedArray):
         filled = filled.combine_chunks()
     d = filled.dictionary_encode()
-    uniq = np.asarray(d.dictionary.to_pandas(), dtype=object)
+    # object array of Python str, as the hash needs; no pandas Series
+    uniq = d.dictionary.to_numpy(zero_copy_only=False)
     hu = pd.util.hash_array(uniq, categorize=False)
     idx = d.indices.to_numpy(zero_copy_only=False)
     return hu[idx]

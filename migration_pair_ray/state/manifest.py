@@ -68,11 +68,12 @@ def compute_pass_id(change_files: list[str]) -> str:
 
 
 class ManifestStore:
-    """Reads/writes per-partition manifests under ``<lake>/_manifest/``."""
+    """Reads/writes per-partition manifests under ``<lake>/_manifest/``.
+    Only the writers create the directory: a read of a missing lake
+    leaves nothing behind."""
 
     def __init__(self, manifest_dir: str):
         self.dir = Path(manifest_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
 
     def _path(self, pid: int) -> str:
         return str(self.dir / f"part-{pid:05d}.json")
@@ -108,12 +109,14 @@ class ManifestStore:
                     if k not in ("history", "prev_records")}
             record["prev_records"] = ([slim] + list(prev.get("prev_records", []))
                                       )[:retain]
+        self.dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(self._path(pid), json.dumps(record, indent=1).encode())
 
     def rewrite(self, pid: int, record: dict) -> None:
         """Raw atomic manifest replacement — vacuum's trim path.  Unlike
         ``commit`` this neither touches ``history`` nor checks idempotence;
         the caller owns the record's integrity."""
+        self.dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(self._path(pid), json.dumps(record, indent=1).encode())
 
     def delete(self, pid: int) -> None:
@@ -127,11 +130,11 @@ class ManifestStore:
 
 
 class CheckpointStore:
-    """Job-level pass checkpoints under ``<lake>/_checkpoint/``."""
+    """Job-level pass checkpoints under ``<lake>/_checkpoint/``; like
+    ``ManifestStore``, only ``commit_pass`` creates the directory."""
 
     def __init__(self, checkpoint_dir: str):
         self.dir = Path(checkpoint_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
 
     def committed_files(self) -> set[str]:
         done: set[str] = set()
@@ -208,6 +211,7 @@ class CheckpointStore:
                            for n, p in entries if os.path.exists(p)},
             "stats": stats or {},
         }
+        self.dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, json.dumps(rec, indent=1).encode())
 
 

@@ -3,7 +3,9 @@ Parquet footers declare at most Ray Data's block target is read in the
 driver into ONE block; a larger one runs on Ray Data.  Both must give the
 DuckDB last-writer-wins answer.  The driver executor hands its block to
 Ray Data with one ``ray.put`` and no remote task, and decodes state files
-without Arrow's thread pool, as Ray Data's own read tasks do."""
+without Arrow's thread pool, as Ray Data's own read tasks do, on one
+thread per CPU the driver may run on (``readers.map_in_driver``), each
+file opened once."""
 
 import duckdb
 import pandas as pd
@@ -17,10 +19,11 @@ from migration_pair_ray.config import JobConfig
 from migration_pair_ray.pipelines.lookup import (fetch_conversations,
                                                  read_covering_row_groups)
 from migration_pair_ray.pipelines.replay import (final_state, read_footer,
-                                                 read_partition, replay)
+                                                 read_lake, read_partition,
+                                                 replay)
 from migration_pair_ray.schemas import unify_change_schemas
-from migration_pair_ray.sources.readers import driver_dataset
-from migration_pair_ray.stages.applier import state_file_paths
+from migration_pair_ray.sources.readers import driver_dataset, map_in_driver
+from migration_pair_ray.stages.applier import read_state_table, state_file_paths
 from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
 
 
@@ -269,7 +272,8 @@ def test_driver_dataset_matches_materialized_from_arrow(tmp_path):
 def test_thread_free_decode_is_byte_neutral(tmp_path, monkeypatch, layout):
     """The driver executor decodes state files as Ray Data's Parquet
     read tasks do, without Arrow's thread pool.  For the largest
-    partition of each state layout, ``read_partition`` and
+    partition of each state layout, ``read_partition``,
+    ``read_state_table`` (the merge's and the pass's read) and
     ``read_covering_row_groups`` return tables equal to the threaded
     decode."""
     log = tmp_path / "log"
@@ -293,7 +297,8 @@ def test_thread_free_decode_is_byte_neutral(tmp_path, monkeypatch, layout):
     def reads():
         return ([read_partition(cfg.lake_dir, m, kernel, schema),
                  read_partition(cfg.lake_dir, m, kernel, schema,
-                                columns=["conv_id", "turn_idx", "text"])]
+                                columns=["conv_id", "turn_idx", "text"]),
+                 read_state_table(cfg.lake_dir, m, kernel=kernel)]
                 + [read_covering_row_groups(p, convs) for p in paths])
 
     threads: list[bool] = []
@@ -315,7 +320,214 @@ def test_thread_free_decode_is_byte_neutral(tmp_path, monkeypatch, layout):
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
                         spy(decode[1], True))
     want = reads()
-    assert all(t.num_rows for t in want[:2])
-    assert sum(t.num_rows for t in want[2:])
+    assert all(t.num_rows for t in want[:3])
+    assert sum(t.num_rows for t in want[3:])
     for g, w in zip(got, want):
         assert g.equals(w)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reads_of_a_missing_lake_create_nothing(tmp_path):
+    """Readers write nothing: a scan and a point lookup of a lake path
+    that does not exist return empty answers and leave the path absent
+    (the manifest and checkpoint directories are made by their writers)."""
+    from migration_pair_ray.pipelines.lookup import lookup_keys
+    lake = tmp_path / "nolake"
+    cfg = JobConfig(changelog_dir=str(tmp_path / "log"), lake_dir=str(lake),
+                    num_partitions=4)
+    assert final_state(cfg).count() == 0
+    assert lookup_keys(cfg, ["c0"], [0]).num_rows == 0
+    assert _consume(fetch_conversations(cfg, ["c0"])) == 0
+    assert not lake.exists()
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Make ``map_in_driver`` see an affinity mask of ``n`` CPUs."""
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_map_in_driver_keeps_order_on_one_thread_per_cpu(monkeypatch):
+    """The pool has one thread per CPU of the affinity mask (four items
+    meet at a four-party barrier, which only concurrent threads can
+    pass), results come back in input order, and one CPU or one item
+    runs the plain loop in the calling thread."""
+    import threading
+    _cpus(monkeypatch, 4)
+    barrier = threading.Barrier(4, timeout=30)
+
+    def meet(x):
+        barrier.wait()
+        return x * 10
+
+    base = threading.active_count()
+    assert map_in_driver(meet, range(8)) == [x * 10 for x in range(8)]
+    assert threading.active_count() == base
+    me = threading.get_ident()
+    assert map_in_driver(lambda x: threading.get_ident(), [1]) == [me]
+    _cpus(monkeypatch, 1)
+    assert map_in_driver(lambda x: threading.get_ident(), range(3)) == [me] * 3
+    assert map_in_driver(meet, []) == []
+
+
+def test_map_in_driver_takes_each_item_once_under_switching(monkeypatch):
+    """More threads than CPUs and a thread switch every microsecond: every
+    item runs exactly once and lands in its own slot, which a lost update
+    of the shared item cursor or result list would break."""
+    import sys
+    import threading
+    _cpus(monkeypatch, 16)
+    calls: list[int] = []
+
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = map_in_driver(square, range(3000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [x * x for x in range(3000)]
+    assert sorted(calls) == list(range(3000))
+    assert not [t for t in threading.enumerate() if t.name == "map_in_driver"]
+
+
+def test_map_in_driver_reraises_the_first_error(monkeypatch):
+    """The exception of the first failing item is re-raised, as the
+    plain loop raises it, and the pool is gone afterwards."""
+    import threading
+    _cpus(monkeypatch, 4)
+
+    def fail_on(x):
+        if x in (2, 5):
+            raise ValueError(f"item {x}")
+        return x
+
+    base = threading.active_count()
+    with pytest.raises(ValueError, match="item 2"):
+        map_in_driver(fail_on, range(8))
+    assert threading.active_count() == base
+
+
+def _staged_lake(tmp_path, **kw) -> tuple[JobConfig, str]:
+    """A lake written by two passes (retaining the first), so reads can
+    cover merge-on-read deltas and ``as_of``; returns the config and the
+    first pass id."""
+    import os
+    stage = tmp_path / "stage"
+    files = generate_change_log(str(stage), n_events=3000, n_convs=40,
+                                n_files=4, tool_epoch=2, dup_frac=0.03,
+                                shuffle_window=300, seed=13)
+    log = tmp_path / "log"
+    log.mkdir()
+    cfg = JobConfig(changelog_dir=str(log), lake_dir=str(tmp_path / "lake"),
+                    num_partitions=8, retain_passes=1, hash_state=False,
+                    **kw)
+    passes = []
+    for group in (files[:2], files[2:]):
+        for f in group:
+            os.link(f, log / os.path.basename(f))
+        passes.append(replay(cfg)["pass_id"])
+    return cfg, passes[0]
+
+
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(_blocks(ds))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("layout", ["plain", "chunked", "mor", "cell"])
+def test_threaded_driver_reads_equal_the_serial_loop(tmp_path, monkeypatch,
+                                                     layout):
+    """One thread and four give the same ``final_state`` (sorted,
+    unsorted, column-pruned, ``as_of``), ``read_lake`` and
+    ``fetch_conversations`` tables, row order and schema included, on
+    every state layout; and no call leaves a thread of its pool behind."""
+    import threading
+
+    def pool_threads() -> list[str]:
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("map_in_driver")]
+    kw = {"plain": {}, "chunked": {"state_chunk_rows": 40},
+          "mor": {"mor_max_deltas": 8}, "cell": {"merge_kernel": "cell"}}
+    cfg, first = _staged_lake(tmp_path, **kw[layout])
+    if layout == "mor":
+        store = ManifestStore(cfg.manifest_dir)
+        assert any(store.read(p).get("delta_files")
+                   for p in range(cfg.num_partitions))
+    convs = sorted(set(read_lake(cfg).to_pandas()["conv_id"]))[::3]
+    reads = {
+        "sorted": lambda: final_state(cfg),
+        "unsorted": lambda: final_state(cfg, sort=False),
+        "pruned": lambda: final_state(cfg, columns=["conv_id", "turn_idx",
+                                                    "text"]),
+        "as_of": lambda: final_state(cfg, as_of=first),
+        "read_lake": lambda: read_lake(cfg),
+        "fetch": lambda: fetch_conversations(cfg, convs),
+    }
+    got = {}
+    for n in (1, 4):
+        _cpus(monkeypatch, n)
+        for name, read in reads.items():
+            got[name, n] = _table(read())
+            assert not pool_threads(), (name, n)
+    for name in reads:
+        serial, threaded = got[name, 1], got[name, 4]
+        assert serial.num_rows, name
+        assert threaded.schema.equals(serial.schema, check_metadata=True)
+        assert threaded.equals(serial), name
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_threaded_scan_of_a_deleted_state_file_raises_as_serial(
+        tmp_path, monkeypatch):
+    """A pinned state file that is gone fails the threaded scan with
+    the serial loop's ``FileNotFoundError``."""
+    import os
+    cfg, _ = _bench_shaped_lake(tmp_path)
+    store = ManifestStore(cfg.manifest_dir)
+    os.remove(state_file_paths(cfg.lake_dir, store.read(5))[0])
+    errors = []
+    for n in (1, 4):
+        _cpus(monkeypatch, n)
+        with pytest.raises(FileNotFoundError) as e:
+            final_state(cfg)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_driver_reads_parse_each_footer_once(tmp_path, monkeypatch):
+    """The planner's footer is the decode's: on the benchmark's layout a
+    driver scan parses each state file's footer once (one
+    ``pq.read_metadata`` and no ``ParquetFile`` opened without it), and
+    so does a fetch for each planned file."""
+    from migration_pair_ray.pipelines.lookup import candidate_plan
+    cfg, files = _bench_shaped_lake(tmp_path)
+    store = ManifestStore(cfg.manifest_dir)
+    n_files = sum(len(state_file_paths(cfg.lake_dir, store.read(p)))
+                  for p in range(cfg.num_partitions))
+    convs = sorted(_oracle(files)["conv_id"].unique())[:3]
+    n_planned = sum(len(e["files"])
+                    for e in candidate_plan(cfg, convs).values())
+    parses: list[str] = []
+    read_metadata, parquet_file = pq.read_metadata, pq.ParquetFile
+
+    def counting_read_metadata(path, *args, **kwargs):
+        parses.append(str(path))
+        return read_metadata(path, *args, **kwargs)
+
+    def counting_parquet_file(path, *args, **kwargs):
+        if kwargs.get("metadata") is None:
+            parses.append(str(path))
+        return parquet_file(path, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_metadata", counting_read_metadata)
+    monkeypatch.setattr(pq, "ParquetFile", counting_parquet_file)
+    for read, n in ((lambda: final_state(cfg), n_files),
+                    (lambda: fetch_conversations(cfg, convs), n_planned)):
+        parses.clear()
+        assert _consume(read())
+        assert len(parses) == len(set(parses)) == n
