@@ -225,12 +225,12 @@ def _pid_rows(lake_dir: str, rels: list[str], convs: list[str], kernel: str,
     file already holds the reduced form.  Valid per partition: a key
     lives in exactly one partition and the plan lists every file covering
     it, so the fold sees each key's complete row set.  ``footers`` maps a
-    lake-relative path to its parsed footer when the caller has it."""
+    file's absolute path to its parsed footer when the caller has it."""
     from migration_pair_ray.schemas import conform_batch
     tables = []
     for rel in rels:
-        t = read_covering_row_groups(str(Path(lake_dir) / rel), convs,
-                                     (footers or {}).get(rel))
+        path = str(Path(lake_dir) / rel)
+        t = read_covering_row_groups(path, convs, (footers or {}).get(path))
         if t.num_rows:
             tables.append(t if schema is None else conform_batch(t, schema))
     if len(tables) <= 1:
@@ -329,15 +329,16 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
 
     Two executors, chosen like ``read_lake``'s by
     ``replay.read_in_driver`` over the planned files' footer bytes: a
-    plan within Ray Data's block target runs the partitions on the
-    driver's CPUs (``readers.map_in_driver``, each file opened once) and
+    plan within Ray Data's block target runs every partition in the
+    driver (each file opened once: the planner's footer is reused) and
     returns one block through ``readers.driver_dataset``; a larger plan
-    runs one Ray task per partition (``from_arrow_refs``)."""
+    runs one Ray task per partition (``from_arrow_refs``).  The driver
+    loop stays serial: a fetch plans a few files, and a thread pool's
+    start-up costs more than their decode overlaps."""
     import ray
     import ray.data as rd
     from migration_pair_ray.pipelines.replay import read_footer, read_in_driver
-    from migration_pair_ray.sources.readers import (driver_dataset,
-                                                    map_in_driver)
+    from migration_pair_ray.sources.readers import driver_dataset
     from migration_pair_ray.schemas import unify_change_schemas
 
     meta = LakeMeta(cfg.lake_dir)
@@ -353,20 +354,20 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     # one footer-read pass unifies the planned files' schemas (evolution:
     # a partition untouched since before a column appeared must still emit
     # union-compatible blocks) and sizes the plan for the executor choice
-    rels = [r for e in plan.values() for r in e["files"]]
-    footers = map_in_driver(read_footer,
-                            [str(Path(cfg.lake_dir) / r) for r in rels])
+    paths = [str(Path(cfg.lake_dir) / r)
+             for e in plan.values() for r in e["files"]]
+    footers = [read_footer(p) for p in paths]
     schema = unify_change_schemas([s for s, _, _ in footers])
     # per-pid conv subsets come from the plan: under routed layouts each
     # partition holds only its own convs — shipping the full request to
     # every task is O(P·|want|); a mixed hot-mode request ships the cold
     # convs only to their routed partition (whales to all)
     if read_in_driver(sum(n for _, n, _ in footers)):
-        mds = {r: md for r, (_, _, md) in zip(rels, footers)}
-        return driver_dataset(map_in_driver(
-            lambda e: _fetch_pid_table(cfg.lake_dir, e["files"], e["convs"],
-                                       kernel, visible_only, schema, mds),
-            [e for _, e in sorted(plan.items())]))
+        mds = {p: md for p, (_, _, md) in zip(paths, footers)}
+        return driver_dataset(
+            [_fetch_pid_table(cfg.lake_dir, e["files"], e["convs"], kernel,
+                              visible_only, schema, mds)
+             for pid, e in sorted(plan.items())])
     fn = ray.remote(num_cpus=1)(_fetch_pid_table)
     refs = [fn.remote(cfg.lake_dir, e["files"], e["convs"], kernel,
                       visible_only, schema)

@@ -380,9 +380,9 @@ def read_in_driver(nbytes: int) -> bool:
     exchange and merge tasks); larger work runs on Ray Data.
     ``read_lake``, ``final_state``, ``lookup.fetch_conversations`` and
     every pass through ``apply_changes_ds`` choose here.  The driver
-    executor keeps the parallelism of the read tasks it replaces: its
-    per-file and per-partition work runs on ``map_in_driver``'s threads,
-    one per CPU this process may run on."""
+    executor of a scan or a pass keeps the parallelism of the read tasks
+    it replaces: its per-file and per-partition work runs on
+    ``map_in_driver``'s threads, one per CPU this process may run on."""
     return nbytes <= ray.data.DataContext.get_current().target_max_block_size
 
 

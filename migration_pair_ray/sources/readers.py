@@ -16,7 +16,7 @@ CPUs the driver may run on.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -27,57 +27,26 @@ from migration_pair_ray.functions.normalize import make_normalizer
 
 
 def map_in_driver(fn, items) -> list:
-    """``[fn(x) for x in items]``, run on threads that live only for this
-    call: the driver executor's per-file and per-partition work (footer
-    reads, Parquet decodes, per-partition folds).  Results come in input
-    order, and the exception of the first failing item (in input order)
-    is re-raised, as the plain loop would raise it; once an item fails
-    no new item starts.
+    """``[fn(x) for x in items]``, run on a thread pool that lives only for
+    this call: the driver executor's per-file and per-partition work
+    (footer reads, Parquet decodes, per-partition folds).  Results come in
+    input order, and the exception of the first failing item (in input
+    order) is re-raised, as the plain loop would raise it.
 
-    ``min(len(items), len(os.sched_getaffinity(0)))`` threads take items
-    in order, the calling thread among them; with one item or one CPU it
-    is the plain loop.  The affinity mask, not ``pa.cpu_count()``, sizes
-    it: Arrow sizes its own pool from ``OMP_NUM_THREADS`` when that is
-    set, so a driver pinned to several CPUs can still see a one-thread
-    Arrow pool.  Arrow releases the GIL while it decodes and filters, so
-    the threads overlap.  ``fn`` must make no Ray call, and it decodes
-    with ``use_threads=False`` (as Ray Data's read tasks do), so the
-    pools never nest.  Plain threads rather than a
-    ``concurrent.futures`` executor: a few files' fetch pays the start-up
-    of every call (on two CPUs about 0.06 ms against 0.2 ms for an
-    executor)."""
+    The pool has one thread per CPU this process may run on (its affinity
+    mask where the platform has one), at most one per item.  The mask,
+    not ``pa.cpu_count()``, sizes it: Arrow sizes its own pool from
+    ``OMP_NUM_THREADS`` when that is set, so a driver pinned to several
+    CPUs can still see a one-thread Arrow pool.  Arrow releases the GIL
+    while it decodes and filters, so the threads overlap.  ``fn`` must
+    make no Ray call, and it decodes with ``use_threads=False`` (as Ray
+    Data's read tasks do), so the pools never nest."""
     items = list(items)
-    n = min(len(items), len(os.sched_getaffinity(0)))
-    if n <= 1:
-        return [fn(x) for x in items]
-    out: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    todo = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def work() -> None:
-        while not errors:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                out[i] = fn(items[i])
-            except BaseException as e:      # re-raised below, after the join
-                errors[i] = e
-
-    threads = [threading.Thread(target=work, name="map_in_driver")
-               for _ in range(n - 1)]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return out
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max(1, min(len(items), cpus)),
+                            thread_name_prefix="map_in_driver") as pool:
+        return list(pool.map(fn, items))
 
 
 def read_parquet_file(path: str, columns: list[str] | None = None,
@@ -94,9 +63,9 @@ def read_parquet_file(path: str, columns: list[str] | None = None,
 def driver_dataset(tables: list[pa.Table],
                    sort: list[str] | None = None) -> "ray.data.Dataset":
     """The tables as ONE block of an already-executed Dataset: the
-    driver executor's tail (``read_lake``, ``final_state``,
-    ``lookup.fetch_conversations``, whose per-partition tables are built
-    on ``map_in_driver``'s threads) and the hand-over of every table a
+    driver executor's tail (``read_lake`` and ``final_state``, whose
+    per-partition tables are built on ``map_in_driver``'s threads, and
+    ``lookup.fetch_conversations``) and the hand-over of every table a
     stage built in the driver.  The ``sort`` keys apply to the
     concatenated table first.
 

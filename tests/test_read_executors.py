@@ -350,8 +350,8 @@ def _cpus(monkeypatch, n: int) -> None:
 def test_map_in_driver_keeps_order_on_one_thread_per_cpu(monkeypatch):
     """The pool has one thread per CPU of the affinity mask (four items
     meet at a four-party barrier, which only concurrent threads can
-    pass), results come back in input order, and one CPU or one item
-    runs the plain loop in the calling thread."""
+    pass), results come back in input order, no thread outlives the
+    call, and one CPU runs every item on one thread, in order."""
     import threading
     _cpus(monkeypatch, 4)
     barrier = threading.Barrier(4, timeout=30)
@@ -363,35 +363,11 @@ def test_map_in_driver_keeps_order_on_one_thread_per_cpu(monkeypatch):
     base = threading.active_count()
     assert map_in_driver(meet, range(8)) == [x * 10 for x in range(8)]
     assert threading.active_count() == base
-    me = threading.get_ident()
-    assert map_in_driver(lambda x: threading.get_ident(), [1]) == [me]
     _cpus(monkeypatch, 1)
-    assert map_in_driver(lambda x: threading.get_ident(), range(3)) == [me] * 3
+    assert len(set(map_in_driver(lambda x: threading.get_ident(),
+                                 range(3)))) == 1
     assert map_in_driver(meet, []) == []
-
-
-def test_map_in_driver_takes_each_item_once_under_switching(monkeypatch):
-    """More threads than CPUs and a thread switch every microsecond: every
-    item runs exactly once and lands in its own slot, which a lost update
-    of the shared item cursor or result list would break."""
-    import sys
-    import threading
-    _cpus(monkeypatch, 16)
-    calls: list[int] = []
-
-    def square(x):
-        calls.append(x)
-        return x * x
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = map_in_driver(square, range(3000))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == [x * x for x in range(3000)]
-    assert sorted(calls) == list(range(3000))
-    assert not [t for t in threading.enumerate() if t.name == "map_in_driver"]
+    assert threading.active_count() == base
 
 
 def test_map_in_driver_reraises_the_first_error(monkeypatch):
@@ -442,9 +418,9 @@ def _table(ds) -> pa.Table:
 def test_threaded_driver_reads_equal_the_serial_loop(tmp_path, monkeypatch,
                                                      layout):
     """One thread and four give the same ``final_state`` (sorted,
-    unsorted, column-pruned, ``as_of``), ``read_lake`` and
-    ``fetch_conversations`` tables, row order and schema included, on
-    every state layout; and no call leaves a thread of its pool behind."""
+    unsorted, column-pruned, ``as_of``) and ``read_lake`` tables, row
+    order and schema included, on every state layout; and no call leaves
+    a thread of its pool behind."""
     import threading
 
     def pool_threads() -> list[str]:
@@ -457,7 +433,6 @@ def test_threaded_driver_reads_equal_the_serial_loop(tmp_path, monkeypatch,
         store = ManifestStore(cfg.manifest_dir)
         assert any(store.read(p).get("delta_files")
                    for p in range(cfg.num_partitions))
-    convs = sorted(set(read_lake(cfg).to_pandas()["conv_id"]))[::3]
     reads = {
         "sorted": lambda: final_state(cfg),
         "unsorted": lambda: final_state(cfg, sort=False),
@@ -465,7 +440,6 @@ def test_threaded_driver_reads_equal_the_serial_loop(tmp_path, monkeypatch,
                                                     "text"]),
         "as_of": lambda: final_state(cfg, as_of=first),
         "read_lake": lambda: read_lake(cfg),
-        "fetch": lambda: fetch_conversations(cfg, convs),
     }
     got = {}
     for n in (1, 4):
