@@ -128,9 +128,9 @@ def visible_state(table: pa.Table, drop_meta: bool = True) -> pa.Table:
     removed; CDC metadata columns dropped when ``drop_meta``."""
     if "op" in table.schema.names:
         keep = pc.fill_null(pc.not_equal(table.column("op"), "D"), True)
-        table = table.filter(keep)
-        if drop_meta:
+        if drop_meta:      # before the filter: dropped columns are not copied
             table = table.drop_columns([c for c in ("op", "lsn") if c in table.schema.names])
+        table = table.filter(keep)
     return table
 
 

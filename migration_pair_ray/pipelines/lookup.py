@@ -8,9 +8,14 @@ and within a chunked partition in exactly ONE key-range chunk file
     O(#keys) manifest reads  +  the few chunk files whose range matches,
 
 never the lake — at 100 TB this is the serving path.  Each touched file is
-opened once and only its row groups whose ``conv_id`` statistics can hold
-a requested conv are decoded (``read_covering_row_groups``), so even the
-touched file's I/O is bounded.  The reference had this for free
+opened once, to decode, and only its row groups whose ``conv_id``
+statistics can hold a requested conv are decoded
+(``read_covering_row_groups``), so even the touched file's I/O is bounded.
+State-file footers and Bloom sidecars are published once and never
+rewritten, so this process parses each once (``readers.read_footer``,
+``bloom.load_sidecar``; an ``os.stat`` validates the kept parse): a warm
+lookup reads ``_lake_meta.json``, its manifests and the data it decodes,
+and no footer or sidecar.  The reference had this for free
 (Cassandra point reads); an engine that owns its lake must own it
 explicitly.
 
@@ -57,16 +62,11 @@ def _route(conv_ids: list[str], turn_idx: list[int] | None,
     hash as usual and only the whale entries come back as ``-1`` ("fans
     out to every partition") — one whale in a 10^6-conv fetch must not
     cost the cold majority its routing."""
-    from migration_pair_ray.stages.partition import partition_ids
+    from migration_pair_ray.stages.partition import key_partition_ids
     if turn_idx is None and mode == "key":
         return None
-    cols = {"conv_id": pa.array(conv_ids, pa.string())}
-    if mode in ("key", "hot"):
-        cols["turn_idx"] = pa.array(
-            turn_idx if turn_idx is not None else [-1] * len(conv_ids),
-            pa.int32())
-    ids = partition_ids(pa.table(cols), num_partitions, mode, splits,
-                        hot_convs).astype(np.int64)
+    ids = key_partition_ids(conv_ids, turn_idx, num_partitions, mode, splits,
+                            hot_convs).astype(np.int64)
     if turn_idx is None and mode == "hot":
         whales = set(conv_ids) & set(hot_convs)
         if whales:
@@ -187,36 +187,36 @@ def candidate_plan(cfg: JobConfig, conv_ids: list[str],
     return out
 
 
-def read_covering_row_groups(path: str, convs: list[str],
-                             metadata: pq.FileMetaData | None = None
-                             ) -> pa.Table:
-    """One state file's rows whose ``conv_id`` is in ``convs`` (sorted),
-    from ONE open of the file: a row group is decoded only if its
-    ``conv_id`` min/max statistics can hold a requested conv (every row
-    group when the file has no such statistics), then the rows are
-    filtered exactly.  ``metadata`` is the file's footer when a planner
-    already parsed it."""
-    with pq.ParquetFile(path, metadata=metadata) as f:
-        md = f.metadata
-        col = md.schema.names.index("conv_id")
-        keep = []
-        for i in range(md.num_row_groups):
-            st = md.row_group(i).column(col).statistics
-            if st is None or not st.has_min_max:
-                keep.append(i)
-                continue
-            k = bisect.bisect_left(convs, st.min)
-            if k < len(convs) and convs[k] <= st.max:
-                keep.append(i)
-        t = (f.read_row_groups(keep, use_threads=False) if keep
-             else f.schema_arrow.empty_table())
+def read_covering_row_groups(path: str, convs: list[str]) -> pa.Table:
+    """One state file's rows whose ``conv_id`` is in ``convs`` (sorted):
+    a row group is decoded only if its ``conv_id`` min/max statistics can
+    hold a requested conv (every row group when the file has no such
+    statistics), then the rows are filtered exactly.  The footer comes
+    from ``read_footer`` (parsed once per process), so the file is opened
+    once, to decode, and not at all when no row group can hold a
+    requested conv."""
+    from migration_pair_ray.sources.readers import read_footer
+    arrow, _, md = read_footer(path)
+    col = md.schema.names.index("conv_id")
+    keep = []
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(col).statistics
+        if st is None or not st.has_min_max:
+            keep.append(i)
+            continue
+        k = bisect.bisect_left(convs, st.min)
+        if k < len(convs) and convs[k] <= st.max:
+            keep.append(i)
+    if not keep:
+        return arrow.empty_table()
+    with pq.ParquetFile(path, metadata=md) as f:
+        t = f.read_row_groups(keep, use_threads=False)
     conv = t.column("conv_id")
     return t.filter(pc.is_in(conv, value_set=pa.array(convs, conv.type)))
 
 
 def _pid_rows(lake_dir: str, rels: list[str], convs: list[str], kernel: str,
-              schema: pa.Schema | None = None,
-              footers: dict | None = None) -> pa.Table | None:
+              schema: pa.Schema | None = None) -> pa.Table | None:
     """One planned partition's rows for ``convs`` (None when no file
     holds any): each file read once by ``read_covering_row_groups`` and
     conformed to ``schema`` when given.  The kernel fold runs only when
@@ -224,13 +224,11 @@ def _pid_rows(lake_dir: str, rels: list[str], convs: list[str], kernel: str,
     have two versions (base + merge-on-read deltas, or chunks); one state
     file already holds the reduced form.  Valid per partition: a key
     lives in exactly one partition and the plan lists every file covering
-    it, so the fold sees each key's complete row set.  ``footers`` maps a
-    file's absolute path to its parsed footer when the caller has it."""
+    it, so the fold sees each key's complete row set."""
     from migration_pair_ray.schemas import conform_batch
     tables = []
     for rel in rels:
-        path = str(Path(lake_dir) / rel)
-        t = read_covering_row_groups(path, convs, (footers or {}).get(path))
+        t = read_covering_row_groups(str(Path(lake_dir) / rel), convs)
         if t.num_rows:
             tables.append(t if schema is None else conform_batch(t, schema))
     if len(tables) <= 1:
@@ -287,8 +285,7 @@ def lookup_keys(cfg: JobConfig, conv_ids: list[str],
 
 def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
                      kernel: str, visible_only: bool,
-                     schema: pa.Schema, footers: dict | None = None
-                     ) -> pa.Table:
+                     schema: pa.Schema) -> pa.Table:
     """One partition's rows for the requested conversations (sorted
     ``want``): ``_pid_rows`` (one open per file, covering row groups
     only, a kernel fold where base + MoR deltas or chunks both hold rows),
@@ -300,9 +297,8 @@ def _fetch_pid_table(lake_dir: str, rels: list[str], want: list[str],
     schema evolution can otherwise leave one partition's state without a
     later column (or with a different field order), and the empty branch
     goes through the same conform+finalize so a bloom false positive
-    cannot emit a differently-shaped block.  ``footers``: as in
-    ``_pid_rows`` (the driver executor passes the planner's)."""
-    out = _pid_rows(lake_dir, rels, want, kernel, schema, footers)
+    cannot emit a differently-shaped block."""
+    out = _pid_rows(lake_dir, rels, want, kernel, schema)
     if out is None:
         out = schema.empty_table()
     if visible_only:
@@ -330,15 +326,16 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     Two executors, chosen like ``read_lake``'s by
     ``replay.read_in_driver`` over the planned files' footer bytes: a
     plan within Ray Data's block target runs every partition in the
-    driver (each file opened once: the planner's footer is reused) and
-    returns one block through ``readers.driver_dataset``; a larger plan
-    runs one Ray task per partition (``from_arrow_refs``).  The driver
-    loop stays serial: a fetch plans a few files, and a thread pool's
-    start-up costs more than their decode overlaps."""
+    driver (footers from ``read_footer``, parsed once per process, so
+    each file is opened once, to decode) and returns one block through
+    ``readers.driver_dataset``; a larger plan runs one Ray task per
+    partition (``from_arrow_refs``).  The driver loop stays serial: a
+    fetch plans a few files, and a thread pool's start-up costs more than
+    their decode overlaps."""
     import ray
     import ray.data as rd
-    from migration_pair_ray.pipelines.replay import read_footer, read_in_driver
-    from migration_pair_ray.sources.readers import driver_dataset
+    from migration_pair_ray.pipelines.replay import read_in_driver
+    from migration_pair_ray.sources.readers import driver_dataset, read_footer
     from migration_pair_ray.schemas import unify_change_schemas
 
     meta = LakeMeta(cfg.lake_dir)
@@ -363,10 +360,9 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     # every task is O(P·|want|); a mixed hot-mode request ships the cold
     # convs only to their routed partition (whales to all)
     if read_in_driver(sum(n for _, n, _ in footers)):
-        mds = {p: md for p, (_, _, md) in zip(paths, footers)}
         return driver_dataset(
             [_fetch_pid_table(cfg.lake_dir, e["files"], e["convs"], kernel,
-                              visible_only, schema, mds)
+                              visible_only, schema)
              for pid, e in sorted(plan.items())])
     fn = ray.remote(num_cpus=1)(_fetch_pid_table)
     refs = [fn.remote(cfg.lake_dir, e["files"], e["convs"], kernel,

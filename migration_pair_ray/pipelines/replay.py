@@ -49,6 +49,7 @@ from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
 from migration_pair_ray.functions.normalize import make_normalizer
 from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
 from migration_pair_ray.sources.readers import (driver_dataset, map_in_driver,
+                                                parse_footer, read_footer,
                                                 read_parquet_file)
 from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, RAW_LSN_COLS,
                                                merge_partition,
@@ -81,7 +82,8 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
 
     * driver executor: the files are read and normalized on the driver's
       CPUs (``map_in_driver``, one open per file: the planner's footer
-      is reused), then each runs its ``fns`` in file order (per file, as
+      parse is reused; change files are parsed on every pass, never
+      kept), then each runs its ``fns`` in file order (per file, as
       the distributed read runs them per block, so content-addressed gate
       outputs collapse the same duplicates); the pass is reduced ONCE,
       routed, and ``merge_fn`` runs for each partition in turn in this
@@ -96,7 +98,7 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
     the per-partition merge (``merge_partition``'s signature); tests swap
     in a fault-injecting one (testing.py)."""
     inputs = [(f, fns) for files, fns in sources for f in files]
-    footers = map_in_driver(read_footer, [f for f, _ in inputs])
+    footers = map_in_driver(parse_footer, [f for f, _ in inputs])
     nbytes = sum(n for _, n, _ in footers) + _pinned_state_bytes(cfg)
     if not read_in_driver(nbytes):
         with _push_shuffle():
@@ -164,7 +166,9 @@ def combine_changes(batch: pa.Table, cfg: JobConfig,
 def _pinned_state_bytes(cfg: JobConfig) -> int:
     """Uncompressed bytes the footers of the lake's pinned state files
     declare (every active partition's current record): the state a pass
-    may merge into."""
+    may merge into.  A plain loop: ``read_footer`` keeps each parse, so a
+    tailer parses a state file's footer once, after the pass that wrote
+    it."""
     from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
                                                    record_files)
     store = ManifestStore(cfg.manifest_dir)
@@ -172,7 +176,7 @@ def _pinned_state_bytes(cfg: JobConfig) -> int:
              for pid in LakeMeta(cfg.lake_dir).active_partition_ids(
                  cfg.num_partitions)
              for f in record_files(store.read(pid))]
-    return sum(n for _, n, _ in map_in_driver(read_footer, paths))
+    return sum(read_footer(p)[1] for p in paths)
 
 
 def apply_dataset(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
@@ -382,20 +386,10 @@ def read_in_driver(nbytes: int) -> bool:
     every pass through ``apply_changes_ds`` choose here.  The driver
     executor of a scan or a pass keeps the parallelism of the read tasks
     it replaces: its per-file and per-partition work runs on
-    ``map_in_driver``'s threads, one per CPU this process may run on."""
+    ``map_in_driver``'s threads, one per CPU this process may run on.
+    The planners of reads take state-file footers from ``read_footer``,
+    which parses each published file once per process."""
     return nbytes <= ray.data.DataContext.get_current().target_max_block_size
-
-
-def read_footer(path: str) -> tuple[pa.Schema, int, pq.FileMetaData]:
-    """A Parquet file's Arrow schema, uncompressed data bytes (its row
-    groups' ``total_byte_size``) and parsed footer, from one footer read.
-    The planners keep the footer and hand it to the decode
-    (``pq.ParquetFile(path, metadata=...)``), so a planned file is
-    opened and parsed once."""
-    md = pq.read_metadata(path)
-    return (md.schema.to_arrow_schema(),
-            sum(md.row_group(i).total_byte_size
-                for i in range(md.num_row_groups)), md)
 
 
 def _project(t: pa.Table, columns: list[str] | None) -> pa.Table:
@@ -406,7 +400,7 @@ def _project(t: pa.Table, columns: list[str] | None) -> pa.Table:
 
 def read_partition(lake_dir: str, manifest: dict, kernel: str,
                    schema: pa.Schema, columns: list[str] | None = None,
-                   finalize=None, footers: dict | None = None) -> pa.Table:
+                   finalize=None) -> pa.Table:
     """One pinned partition's committed state as one table conformed to
     ``schema`` (the read's unified footer schema) — the per-partition
     kernel both lake-read executors share: the driver executor calls it
@@ -418,15 +412,13 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
     ``kernel`` (``read_state_table``), then ``finalize`` runs on the
     complete partition and ``columns`` prunes its output.  Otherwise
     ``columns`` prunes at the Parquet read: each file reads the requested
-    columns its footer carries (a file carrying none of them reads the
-    ``lsn`` rider for its row count) and the normalizer backfills typed
-    nulls for the rest.  ``footers`` maps a file's absolute path to the
-    footer the planner parsed (``read_footer``), so each file is opened
-    and parsed once."""
-    footers = footers or {}
+    columns its footer's Arrow schema carries (a file carrying none of
+    them reads the ``lsn`` rider for its row count) and the normalizer
+    backfills typed nulls for the rest.  Footers come from
+    ``read_footer``, so a file the process has read before is opened
+    only to decode."""
     if manifest.get("delta_files") or finalize is not None:
-        t = read_state_table(lake_dir, manifest, kernel=kernel,
-                             footers=footers)
+        t = read_state_table(lake_dir, manifest, kernel=kernel)
         t = (make_normalizer(schema)(t) if t is not None and t.num_rows
              else schema.empty_table())
         return _project(finalize(t) if finalize is not None else t, columns)
@@ -435,13 +427,10 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
     norm = make_normalizer(pruned)
     out = []
     for p in state_file_paths(lake_dir, manifest):
-        with pq.ParquetFile(p, metadata=footers.get(p)) as f:
-            cols = (None if columns is None else
-                    [c for c in columns if c in f.schema_arrow.names]
-                    or ["lsn"])
-            # no Arrow thread pool, as Ray Data's Parquet read tasks
-            # decode: a state file is a row group or a few
-            out.append(norm(f.read(columns=cols, use_threads=False)))
+        arrow, _, md = read_footer(p)
+        cols = (None if columns is None else
+                [c for c in columns if c in arrow.names] or ["lsn"])
+        out.append(norm(read_parquet_file(p, cols, metadata=md)))
     if not out:
         return pruned.empty_table()
     return (out[0] if len(out) == 1
@@ -455,13 +444,14 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
     included; only manifest-pinned files are read).
 
     One manifest-planned read, two executors.  The planner reads every
-    pinned manifest and every footer (schema + uncompressed bytes), and
+    pinned manifest and every footer (schema + uncompressed bytes;
+    ``read_footer`` parses a published file once per process), and
     ``read_in_driver`` picks the executor from the planned bytes: a read
     within Ray Data's block target runs ``read_partition`` for every
     partition in the driver, on one thread per CPU the driver may run on
-    (``map_in_driver``) and with each file opened once (the planner's
-    footer is reused), and returns ONE block (``driver_dataset``); a
-    larger one streams plain partitions through ``read_parquet`` and runs
+    (``map_in_driver``) and with each file opened once, to decode, and
+    returns ONE block (``driver_dataset``); a larger one streams plain
+    partitions through ``read_parquet`` and runs
     ``read_partition`` in one task per merge-on-read/``finalize``
     partition.  Both conform to the same unified schema with the same
     kernels, so they return the same rows.
@@ -561,7 +551,7 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
     from migration_pair_ray.schemas import unify_change_schemas
     mor_paths = [str(Path(cfg.lake_dir) / f)
                  for m in mor_manifests for f in record_files(m)]
-    footers = map_in_driver(read_footer, paths + mor_paths)
+    footers = [read_footer(p) for p in paths + mor_paths]
     schema = unify_change_schemas([s for s, _, _ in footers])
     if columns is not None:
         unknown = [c for c in columns if c not in schema.names]
@@ -570,11 +560,9 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
                              f"lake schema {schema.names}")
     kernel = meta.merge_kernel(layout)
     if read_in_driver(sum(n for _, n, _ in footers)):
-        mds = {p: md for p, (_, _, md) in zip(paths + mor_paths, footers)}
-
         def partition(m: dict) -> pa.Table:
             t = read_partition(cfg.lake_dir, m, kernel, schema, columns,
-                               finalize, mds)
+                               finalize)
             return t if rows is None else rows(t)
 
         return driver_dataset(map_in_driver(partition, manifests), sort)

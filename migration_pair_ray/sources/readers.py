@@ -10,7 +10,8 @@ pipeline is format-agnostic.
 (a driver-executed lake read or fetch, a driver-side reduce's answer):
 it hands the table to Ray Data as one executed block.  ``map_in_driver``
 runs the per-file or per-partition work that builds such a table on the
-CPUs the driver may run on.
+CPUs the driver may run on.  ``read_footer`` and ``read_parquet_file``
+are the in-process Parquet reads of the lake's own files.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import ray
 import ray.data
 
 from migration_pair_ray.functions.normalize import make_normalizer
+from migration_pair_ray.state.filecache import published
 
 
 def map_in_driver(fn, items) -> list:
@@ -49,13 +51,35 @@ def map_in_driver(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
+def parse_footer(path: str) -> tuple[pa.Schema, int, pq.FileMetaData]:
+    """A Parquet file's Arrow schema, uncompressed data bytes (its row
+    groups' ``total_byte_size``) and parsed footer, from one footer read.
+    Parses every time: the planner of a pass reads change files, which
+    their producers may rewrite, through here."""
+    md = pq.read_metadata(path)
+    return (md.schema.to_arrow_schema(),
+            sum(md.row_group(i).total_byte_size
+                for i in range(md.num_row_groups)), md)
+
+
+def read_footer(path: str) -> tuple[pa.Schema, int, pq.FileMetaData]:
+    """``parse_footer`` of a state or delta file the lake has published,
+    parsed once per process (``state.filecache.published``: one
+    ``os.stat`` validates the kept footer).  Every planner and reader of
+    state files takes its footer here and hands it to the decode
+    (``read_parquet_file(path, metadata=...)``), so a file read before is
+    opened only to decode its data.  A missing file raises
+    ``FileNotFoundError``."""
+    return published(path, parse_footer)
+
+
 def read_parquet_file(path: str, columns: list[str] | None = None,
                       metadata: pq.FileMetaData | None = None) -> pa.Table:
     """One Parquet file decoded from one open: no dataset discovery (as
     ``pq.read_table`` runs on every call) and no Arrow thread pool (as
     Ray Data's read tasks decode).  ``metadata`` is the file's footer
-    when the caller already parsed it, so the file is not parsed again.
-    The in-process decode of every state and change file."""
+    when the caller holds it (``read_footer``), so the file is not parsed
+    again.  The in-process decode of every state and change file."""
     with pq.ParquetFile(path, metadata=metadata) as f:
         return f.read(columns=columns, use_threads=False)
 

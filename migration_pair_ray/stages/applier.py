@@ -31,7 +31,7 @@ import pyarrow.parquet as pq
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import merge_tables_chunked
 from migration_pair_ray.schemas import MERGE_KEYS
-from migration_pair_ray.sources.readers import read_parquet_file
+from migration_pair_ray.sources.readers import read_footer, read_parquet_file
 from migration_pair_ray.stages.partition import PART_COL
 from migration_pair_ray.state.manifest import ManifestStore
 
@@ -467,8 +467,7 @@ def write_chunk_files(lake_dir: str, merged: pa.Table, chunk_rows: int,
 
 def read_state_table(lake_dir: str, manifest: dict | None,
                      fold_deltas: bool = True,
-                     kernel: str = "row",
-                     footers: dict | None = None) -> pa.Table | None:
+                     kernel: str = "row") -> pa.Table | None:
     """A partition's committed state as one (key-sorted) table — handles
     all layouts: single ``data_file``, chunked ``data_files`` (chunk files
     are key-ordered and internally sorted, so concatenation is the sorted
@@ -476,14 +475,14 @@ def read_state_table(lake_dir: str, manifest: dict | None,
     with the lake's merge kernel — ``kernel`` must match what the lake
     was written with, see ``LakeMeta.merge_kernel`` — so every consumer
     sees the true current state; ``fold_deltas=False`` returns the base
-    only).  ``footers`` maps a file's absolute path to its parsed footer
-    (``pq.FileMetaData``) when the caller already read it."""
+    only).  Each file's footer comes from ``read_footer``, parsed once
+    per process."""
     if not manifest:
         return None
 
     def read(rel: str) -> pa.Table:
         path = str(Path(lake_dir) / rel)
-        return read_parquet_file(path, metadata=(footers or {}).get(path))
+        return read_parquet_file(path, metadata=read_footer(path)[2])
 
     files = manifest.get("data_files")
     if files is None:

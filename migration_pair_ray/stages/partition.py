@@ -67,24 +67,59 @@ def partition_ids(batch: pa.Table, num_partitions: int, mode: str = "conv",
                   splits: dict[int, tuple[int, int]] | None = None,
                   hot_convs=None) -> np.ndarray:
     import pyarrow.compute as pc
-    h = hash_strings(batch.column("conv_id"))
+    turn = hot = None
     if mode in ("key", "hot"):
         # null turn_idx → sentinel BEFORE the numpy cast (a null would go
         # through float NaN, whose uint64 conversion is architecture-
         # dependent — every node must hash a key identically)
         turn_arr = pc.fill_null(pc.cast(batch.column("turn_idx"), pa.int64()), -1)
-        turn = turn_arr.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-        mixed = (h ^ (turn * _GOLDEN)) * _GOLDEN
+        turn = turn_arr.to_numpy(zero_copy_only=False).astype(np.int64)
+    if mode == "hot" and hot_convs:
+        # salt ONLY the recorded whales; everything else stays
+        # conv-disjoint.  One vectorized membership test per block.
+        hot = pc.fill_null(pc.is_in(
+            batch.column("conv_id"),
+            value_set=pa.array(sorted(hot_convs), pa.string())),
+            False).to_numpy(zero_copy_only=False)
+    return _place(hash_strings(batch.column("conv_id")), turn, hot,
+                  num_partitions, mode, splits)
+
+
+def key_partition_ids(conv_ids: list[str], turn_idx: list[int] | None,
+                      num_partitions: int, mode: str = "conv",
+                      splits: dict[int, tuple[int, int]] | None = None,
+                      hot_convs=None) -> np.ndarray:
+    """``partition_ids`` of keys a caller holds as Python lists (a point
+    lookup's request): the same ``hash_array`` call on the list itself,
+    with no Arrow table or dictionary encoding built to hash a few keys.
+    ``turn_idx=None`` hashes every key with the null-turn sentinel, as
+    ``partition_ids`` does for a null ``turn_idx``."""
+    h = pd.util.hash_array(
+        np.array(["" if c is None else c for c in conv_ids], dtype=object),
+        categorize=False)
+    turn = hot = None
+    if mode in ("key", "hot"):
+        turn = (np.full(len(conv_ids), -1, np.int64) if turn_idx is None
+                else np.array([-1 if t is None else t for t in turn_idx],
+                              np.int64))
+    if mode == "hot" and hot_convs:
+        whales = set(hot_convs)
+        hot = np.fromiter((c in whales for c in conv_ids), dtype=bool,
+                          count=len(conv_ids))
+    return _place(h, turn, hot, num_partitions, mode, splits)
+
+
+def _place(h: np.ndarray, turn: np.ndarray | None, hot: np.ndarray | None,
+           num_partitions: int, mode: str,
+           splits: dict[int, tuple[int, int]] | None) -> np.ndarray:
+    """Partition ids from the conv hashes ``h``, the int64 turns (modes
+    "key"/"hot") and the whale mask (mode "hot")."""
+    if mode in ("key", "hot"):
+        mixed = (h ^ (turn.view(np.uint64) * _GOLDEN)) * _GOLDEN
         if mode == "key":
             h = mixed
-        elif hot_convs:
-            # salt ONLY the recorded whales; everything else stays
-            # conv-disjoint.  One vectorized membership test per block.
-            hot_mask = pc.fill_null(pc.is_in(
-                batch.column("conv_id"),
-                value_set=pa.array(sorted(hot_convs), pa.string())),
-                False).to_numpy(zero_copy_only=False)
-            h = np.where(hot_mask, mixed, h)
+        elif hot is not None:
+            h = np.where(hot, mixed, h)
     base = (h % np.uint64(num_partitions)).astype(np.int32)
     if not splits:
         return base

@@ -44,6 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
+from migration_pair_ray.state.filecache import published
+
 _MAGIC = b"MPRB1\n"
 _K = 7                    # hash functions
 _BITS_PER_KEY = 10        # ~0.8% false positives at k=7
@@ -172,11 +174,19 @@ class BloomSidecar:
 
 def load_sidecar(parquet_path: str | Path) -> BloomSidecar | None:
     """None on missing/torn/foreign sidecar — callers treat that as
-    "cannot prune" (the file stays a lookup candidate)."""
+    "cannot prune" (the file stays a lookup candidate).  A sidecar is
+    published by temp + rename and never rewritten, so its parse is kept
+    per process (``state.filecache.published``): a repeated lookup pays
+    one ``os.stat``, and a sidecar replaced or truncated since is parsed
+    again."""
     try:
-        raw = Path(sidecar_path(parquet_path)).read_bytes()
+        return published(sidecar_path(parquet_path), _parse_sidecar)
     except OSError:
         return None
+
+
+def _parse_sidecar(path: str) -> BloomSidecar | None:
+    raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         return None
     try:

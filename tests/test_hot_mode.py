@@ -351,3 +351,28 @@ def test_hash_strings_frozen_contract():
     ch = pa.chunked_array([pa.array(vals), pa.array(vals).slice(2, 3)])
     hc = hash_strings(ch)
     assert [int(x) for x in hc] == [golden[v] for v in vals + vals[2:5]]
+
+
+def test_key_partition_ids_equal_partition_ids():
+    """A lookup routes its keys from Python lists
+    (``key_partition_ids``) to the partition ids ``partition_ids`` gives
+    the same keys as a table, in every mode, with and without turns and
+    across an incremental split."""
+    import pyarrow as pa
+    from migration_pair_ray.stages.partition import (key_partition_ids,
+                                                     partition_ids)
+    rng = np.random.default_rng(11)
+    convs = [f"conv-{i}" for i in rng.integers(0, 60, size=2000)] + [""]
+    turns = [int(t) for t in rng.integers(-1, 1000, size=len(convs))]
+    whales = ("conv-3", "conv-17")
+    for mode in ("conv", "key", "hot"):
+        for splits in (None, {2: (2, 0), 5: (3, 1)}):
+            for turn in (turns, None):
+                batch = pa.table({
+                    "conv_id": pa.array(convs, pa.string()),
+                    "turn_idx": pa.array(turn or [-1] * len(convs),
+                                         pa.int32())})
+                want = partition_ids(batch, 8, mode, splits, whales)
+                got = key_partition_ids(convs, turn, 8, mode, splits, whales)
+                assert got.dtype == want.dtype
+                assert (got == want).all(), (mode, splits, turn is None)

@@ -143,8 +143,9 @@ def test_consumed_driver_reads_leave_no_block_pinned(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_turn_lookup_opens_one_file_of_each_kind(tmp_path, monkeypatch):
     """The fixed cost of a point lookup stays out: on the benchmark's
-    layout one turn-level lookup reads ``_lake_meta.json`` once, one
-    manifest, one bloom sidecar and one state file, and builds no
+    layout a warm turn-level lookup reads ``_lake_meta.json`` once, one
+    manifest and one state file, opens no bloom sidecar (its parse is
+    kept from the warm-up), and builds no
     ``pq.read_table``/``ParquetDataset`` plan."""
     import builtins
     from pathlib import Path
@@ -180,8 +181,7 @@ def test_turn_lookup_opens_one_file_of_each_kind(tmp_path, monkeypatch):
              else "sidecar" if p.endswith(".bloom")
              else "state" if p.endswith(".parquet")
              else p for p in opened]
-    assert sorted(kinds) == ["_lake_meta.json", "manifest", "sidecar",
-                             "state"]
+    assert sorted(kinds) == ["_lake_meta.json", "manifest", "state"]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -474,10 +474,10 @@ def test_threaded_scan_of_a_deleted_state_file_raises_as_serial(
 
 @pytest.mark.usefixtures("ray_session")
 def test_driver_reads_parse_each_footer_once(tmp_path, monkeypatch):
-    """The planner's footer is the decode's: on the benchmark's layout a
-    driver scan parses each state file's footer once (one
-    ``pq.read_metadata`` and no ``ParquetFile`` opened without it), and
-    so does a fetch for each planned file."""
+    """A published footer is parsed once per process: on the benchmark's
+    layout the first driver scan parses each state file's footer once
+    (one ``pq.read_metadata`` and no ``ParquetFile`` opened without it),
+    and a repeated scan and a fetch after it parse none."""
     from migration_pair_ray.pipelines.lookup import candidate_plan
     cfg, files = _bench_shaped_lake(tmp_path)
     store = ManifestStore(cfg.manifest_dir)
@@ -500,8 +500,10 @@ def test_driver_reads_parse_each_footer_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pq, "read_metadata", counting_read_metadata)
     monkeypatch.setattr(pq, "ParquetFile", counting_parquet_file)
+    assert n_planned
     for read, n in ((lambda: final_state(cfg), n_files),
-                    (lambda: fetch_conversations(cfg, convs), n_planned)):
+                    (lambda: final_state(cfg), 0),
+                    (lambda: fetch_conversations(cfg, convs), 0)):
         parses.clear()
         assert _consume(read())
         assert len(parses) == len(set(parses)) == n
