@@ -7,7 +7,7 @@ equal target schema order).  Here:
 
     read_csv/read_parquet → compliance gate → normalize (cast BY NAME to the
     change schema; empty→null; unix-ms/ISO → timestamp) → synthesize CDC
-    envelope (op="I", lsn) → the same partition/merge/commit tail as replay.
+    envelope (op="I", lsn) → replay's route → merge tasks, one per block.
 
 Loading a snapshot is just replaying a change log of pure inserts — the
 engine has exactly one write path (the reference effectively discovered the
@@ -22,7 +22,7 @@ import ray.data
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.normalize import normalize_batch
 from migration_pair_ray.pipelines.compliance import check_compliance
-from migration_pair_ray.pipelines.replay import apply_dataset
+from migration_pair_ray.pipelines.replay import apply_on_tasks
 from migration_pair_ray.schemas import CHANGE_SCHEMA
 
 
@@ -89,11 +89,10 @@ def bulk_load(cfg: JobConfig, input_path: str, fmt: str = "csv",
     """Load a CSV/Parquet snapshot into the lake via the upsert sink.
     Returns a summary dict. Idempotent per (input content, pass_tag)."""
     import contextlib
-    from migration_pair_ray.pipelines.replay import _push_shuffle
     from migration_pair_ray.state.lock import WriterLease
     lease = (WriterLease(cfg.lake_dir, "bulk_load", cfg.writer_lease_ttl_s)
              if cfg.writer_lease else contextlib.nullcontext())
-    with lease, _push_shuffle():
+    with lease:
         return _bulk_load(cfg, input_path, fmt, pass_tag)
 
 
@@ -141,8 +140,9 @@ def _bulk_load(cfg: JobConfig, input_path: str, fmt: str, pass_tag: str) -> dict
     from migration_pair_ray.state.manifest import CheckpointStore
     ckpt = CheckpointStore(cfg.checkpoint_dir)
     pass_seq = ckpt.next_seq()
-    lineage = apply_dataset(ds, cfg, pass_id, splits=meta.splits(),
-                            hot_convs=meta.hot_convs(), pass_seq=pass_seq)
+    lineage = apply_on_tasks(ds.to_arrow_refs(), cfg, pass_id,
+                             splits=meta.splits(),
+                             hot_convs=meta.hot_convs(), pass_seq=pass_seq)
     import pyarrow.compute as pc
     rows_in = int(pc.sum(lineage.column("rows_in")).as_py() or 0)
     ckpt.commit_pass(pass_id, in_files, name_prefix="bulk:", seq=pass_seq,

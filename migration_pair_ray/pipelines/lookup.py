@@ -332,9 +332,8 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
     partition (``from_arrow_refs``).  The driver loop stays serial: a
     fetch plans a few files, and a thread pool's start-up costs more than
     their decode overlaps."""
-    import ray
     import ray.data as rd
-    from migration_pair_ray.pipelines.replay import read_in_driver
+    from migration_pair_ray.pipelines.replay import read_in_driver, remote_call
     from migration_pair_ray.sources.readers import driver_dataset, read_footer
     from migration_pair_ray.schemas import unify_change_schemas
 
@@ -364,8 +363,7 @@ def fetch_conversations(cfg: JobConfig, conv_ids: list[str],
             [_fetch_pid_table(cfg.lake_dir, e["files"], e["convs"], kernel,
                               visible_only, schema)
              for pid, e in sorted(plan.items())])
-    fn = ray.remote(num_cpus=1)(_fetch_pid_table)
-    refs = [fn.remote(cfg.lake_dir, e["files"], e["convs"], kernel,
-                      visible_only, schema)
-            for pid, e in sorted(plan.items())]
-    return rd.from_arrow_refs(refs)
+    return rd.from_arrow_refs(
+        [remote_call.remote(_fetch_pid_table, cfg.lake_dir, e["files"],
+                            e["convs"], kernel, visible_only, schema)
+         for pid, e in sorted(plan.items())])

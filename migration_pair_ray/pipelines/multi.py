@@ -173,8 +173,6 @@ def replay_multi(cfg: JobConfig, source_dirs: list[str],
 
 def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
                          names: list[str], t0: float) -> dict:
-    import pyarrow.parquet as pq
-
     from migration_pair_ray.pipelines.replay import (_write_lineage,
                                                      apply_changes_ds)
     from migration_pair_ray.sources.changelog import unified_schema
@@ -217,15 +215,14 @@ def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
     if qdir is not None:
         from migration_pair_ray.stages.quarantine import make_quarantine_gate
         gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
-    lineage, plan = apply_changes_ds(
+    lineage, plan, file_rows = apply_changes_ds(
         [(files, [_shift_lsn(k, K), *gates])
          for k, files in enumerate(per_source) if files],
         schema, cfg, pass_id, splits=meta.splits(),
         hot_convs=meta.hot_convs(), pass_seq=pass_seq)
 
-    src_events = {
-        n: sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        for n, files in zip(names, per_source)}
+    src_events = {n: sum(file_rows[f] for f in files)
+                  for n, files in zip(names, per_source)}
     events_in = sum(src_events.values())
     _write_lineage(cfg, pass_id, lineage)
     ck.commit_pass(

@@ -489,11 +489,11 @@ def _refill_locked(cfg: JobConfig, pid: int) -> dict:
             _sh.rmtree(qdir, ignore_errors=True)
             qdir.mkdir(parents=True, exist_ok=True)
             gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
-        lineage, plan = apply_changes_ds([(paths, gates)],
-                                         unified_schema(paths), cfg, pass_id,
-                                         splits=splits, hot_convs=hot,
-                                         pass_seq=last_seq,
-                                         lineage_break=True)
+        lineage, plan, _ = apply_changes_ds([(paths, gates)],
+                                            unified_schema(paths), cfg,
+                                            pass_id, splits=splits,
+                                            hot_convs=hot, pass_seq=last_seq,
+                                            lineage_break=True)
         if lineage.num_rows:
             rows_applied = int(pa.compute.sum(
                 lineage.column("rows_in")).as_py() or 0)

@@ -9,31 +9,29 @@
       │    → combine_changes ONCE over the pass  (LWW reduce, hash-partition
       │                                           column, raw lsn range)
       │    → merge_partition for each partition in turn
-      └─ Ray Data executor (larger)
-           ray.data.read_parquet                 (streaming blocks)
-           → normalize → batch fns               (fused map stages)
-           → combine_changes per block           (combiner: ≤1 row per key
-                                                  per block crosses the wire;
-                                                  conv / salted-key routing)
-           → groupby(part).map_groups(merge_partition)
-                                                 (the ONE shuffle; plain Ray
-                                                  tasks merge each partition
-                                                  + commit its manifest;
-                                                  nothing outlives the pass)
+      └─ task executor (larger; plain Ray tasks)
+           route task per input (row-group ranges, ≤ bytes/CPUs, ≤ 1 block):
+           read + normalize → batch fns → combine_changes
+             → one slice per active partition   (≤1 row per key per input)
+           → merge task per partition: merge_partition on its slices
+                                                 (the ONE exchange; at most
+                                                  apply_concurrency at once)
       → lineage records → pass checkpoint (stats: executor, planned_bytes)
 
-Both executors call the same ``merge_partition`` per partition, so every
-effect stays behind the per-partition manifest commit on either.
+Both executors call the same ``combine_changes`` and ``merge_partition``,
+so every effect stays behind the per-partition manifest commit on either.
+``bulk_load`` and ``repartition_lake`` hand their Datasets' blocks to the
+same route and merge tasks (``apply_on_tasks``).
 
 The reference's EndToEnd (``Tasks/EndToEnd.cs:20-49``) is the degenerate
 single-stream version of this; the explicit partial reduce + hash partition
-is what makes it hold at 10^10 events (only unique keys per batch shuffle,
-and a hot conversation can be salted across partitions with mode="key").
+is what makes it hold at 10^10 events (only unique keys per input cross to
+the merges, and a hot conversation can be salted across partitions with
+mode="key").
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from pathlib import Path
 
@@ -41,13 +39,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
 from migration_pair_ray.functions.normalize import make_normalizer
-from migration_pair_ray.sources.changelog import discover, read_changes, unified_schema
+from migration_pair_ray.sources.changelog import discover, unified_schema
 from migration_pair_ray.sources.readers import (driver_dataset, map_in_driver,
                                                 parse_footer, read_footer,
                                                 read_parquet_file)
@@ -67,82 +66,179 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
                      pass_seq: int = -1,
                      hot_convs: tuple[str, ...] = (),
                      lineage_break: bool = False,
-                     merge_fn=merge_partition) -> tuple[pa.Table, dict]:
+                     merge_fn=merge_partition
+                     ) -> tuple[pa.Table, dict, dict[str, int]]:
     """Plan and run one pass over change files; returns the lineage table
-    (one row per partition) and the plan, ``{"executor", "planned_bytes"}``,
-    which the caller records in the pass checkpoint's ``stats``.
+    (one row per partition), the plan (``{"executor", "planned_bytes"}``
+    for the checkpoint's ``stats``) and each file's footer row count.
 
-    ``sources`` is the pass input: a list of ``(files, fns)``, each a
-    group of change files and the batch functions (``pa.Table ->
-    pa.Table``) its rows run, in order, after being normalized to
-    ``schema`` — the txn and quarantine gates, a source's lsn shift, a
-    refill's partition filter.  The planner sums the uncompressed bytes
-    the change files' footers and the lake's pinned state files declare
-    and asks ``read_in_driver``, the lake read's predicate:
+    ``sources`` is a list of ``(files, fns)``: change files and the batch
+    functions (``pa.Table -> pa.Table``: txn and quarantine gates, a
+    source's lsn shift, a refill's partition filter) their rows run, in
+    order, once normalized to ``schema`` (``_prepared``).  The planner
+    sums the uncompressed bytes of the change files' footers (parsed once
+    per pass, never kept) and the lake's pinned state, and asks
+    ``read_in_driver``:
 
-    * driver executor: the files are read and normalized on the driver's
-      CPUs (``map_in_driver``, one open per file: the planner's footer
-      parse is reused; change files are parsed on every pass, never
-      kept), then each runs its ``fns`` in file order (per file, as
-      the distributed read runs them per block, so content-addressed gate
-      outputs collapse the same duplicates); the pass is reduced ONCE,
-      routed, and ``merge_fn`` runs for each partition in turn in this
-      process.  No Ray Data plan, exchange or task is started.
-    * Ray Data executor: ``apply_dataset`` on the streaming read.
+    * driver executor: files read and normalized on ``map_in_driver``'s
+      threads, ``fns`` per file in file order, ONE reduce over the pass,
+      then ``merge_fn`` for each partition in turn.  No Ray Data plan or
+      Ray task is started.
+    * task executor: ``apply_on_tasks`` on ``_route_inputs``.
 
-    ``splits`` is the lake's incremental-split map (LakeMeta.splits):
-    events for a split base partition route to its children, so a replay
-    after a split merges into child state without touching other
-    partitions.  ``lineage_break`` is stamped into every commit record
-    (refill: the partition's retained history is gone).  ``merge_fn`` is
-    the per-partition merge (``merge_partition``'s signature); tests swap
+    ``splits`` (LakeMeta.splits) routes a split base partition's events
+    to its children.  ``lineage_break`` is stamped into every commit
+    record (refill).  ``merge_fn`` is the per-partition merge; tests swap
     in a fault-injecting one (testing.py)."""
     inputs = [(f, fns) for files, fns in sources for f in files]
     footers = map_in_driver(parse_footer, [f for f, _ in inputs])
-    nbytes = sum(n for _, n, _ in footers) + _pinned_state_bytes(cfg)
-    if not read_in_driver(nbytes):
-        with _push_shuffle():
-            ds = None
-            for files, fns in sources:
-                part = read_changes(files, schema)
-                for fn in fns:
-                    part = part.map_batches(fn, batch_format="pyarrow")
-                ds = part if ds is None else ds.union(part)
-            lineage = apply_dataset(ds, cfg, pass_id, splits, pass_seq,
-                                    hot_convs, lineage_break, merge_fn)
-        return lineage, {"executor": "ray_data", "planned_bytes": nbytes}
+    inputs = [(f, md, fns) for (f, fns), (_, _, md) in zip(inputs, footers)]
+    change_bytes = sum(n for _, n, _ in footers)
+    nbytes = change_bytes + _pinned_state_bytes(cfg)
+    file_rows = {f: md.num_rows for f, md, _ in inputs}
     norm = make_normalizer(schema)
-    tables = map_in_driver(
-        lambda i: norm(read_parquet_file(inputs[i][0],
-                                         metadata=footers[i][2])),
-        range(len(inputs)))
-    parts = []
-    for t, (_, fns) in zip(tables, inputs):
+    if not read_in_driver(nbytes):
+        lineage = apply_on_tasks(_route_inputs(inputs, change_bytes), cfg,
+                                 pass_id, splits, pass_seq, hot_convs,
+                                 lineage_break, merge_fn,
+                                 prepare=lambda pieces: _prepared(pieces, norm))
+        # "ray_data": the label lakes have always recorded for this executor
+        return lineage, {"executor": "ray_data", "planned_bytes": nbytes}, \
+            file_rows
+    changes = combine_changes(
+        _prepared([(f, md, None, fns) for f, md, fns in inputs], norm,
+                  map_in_driver), cfg, splits, hot_convs)
+    lineage = _lineage([merge_fn(group, cfg=cfg, pass_id=pass_id,
+                                 pass_seq=pass_seq, lineage_break=lineage_break)
+                        for group in _by_partition(changes).values()])
+    return lineage, {"executor": "driver", "planned_bytes": nbytes}, file_rows
+
+
+def _prepared(pieces: list[tuple], norm, mapper=map) -> pa.Table:
+    """The rows of a pass's ``pieces`` as one table, ``combine_changes``'s
+    input on both executors.  A piece ``(path, footer, row_groups, fns)``
+    is read (``None``: every row group) and normalized (``mapper``: the
+    driver maps on its threads, which make no Ray call), then runs its
+    ``fns``, in piece order."""
+    tables = mapper(lambda p: norm(read_parquet_file(p[0], metadata=p[1],
+                                                     row_groups=p[2])),
+                    pieces)
+    out = []
+    for t, (_, _, _, fns) in zip(tables, pieces):
         for fn in fns:
             t = fn(t)
-        parts.append(t)
-    changes = combine_changes(
-        pa.concat_tables(parts, promote_options="permissive"), cfg, splits,
-        hot_convs)
+        out.append(t)
+    return pa.concat_tables(out, promote_options="permissive")
+
+
+def _route_inputs(files: list[tuple], nbytes: int) -> list[list[tuple]]:
+    """The task executor's route inputs: the pass's ``(path, footer,
+    fns)`` files cut at row-group bounds and packed, in order, into lists
+    of ``_prepared`` pieces of at most ``nbytes`` over the cluster's CPUs
+    (every CPU gets a task) and at most the block target (a task holds
+    about one block however large a file is); a larger row group is an
+    input alone.  Small files share an input, so a merge takes few
+    slices."""
+    # before Ray is started (the first task starts it) only the target cuts
+    cpus = (max(1, int(ray.cluster_resources().get("CPU", 1)))
+            if ray.is_initialized() else 1)
+    budget = min(ray.data.DataContext.get_current().target_max_block_size,
+                 max(1, -(-nbytes // cpus)))
+    routes, cur, size = [], [], 0
+    for path, md, fns in files:
+        piece = None
+        for rg in range(md.num_row_groups):
+            n = md.row_group(rg).total_byte_size
+            if cur and size + n > budget:
+                routes.append(cur)
+                cur, size, piece = [], 0, None
+            if piece is None:
+                piece = (path, md, [], fns)
+                cur.append(piece)
+            piece[2].append(rg)
+            size += n
+    return routes + [cur] if cur else routes
+
+
+def _lineage(rows: list[pa.Table]) -> pa.Table:
+    out = [t for t in rows if t.num_rows]
+    return (pa.concat_tables(out).cast(LINEAGE_SCHEMA) if out
+            else LINEAGE_SCHEMA.empty_table())
+
+
+def _by_partition(changes: pa.Table) -> dict[int, pa.Table]:
+    """``changes`` cut into one slice per partition id it holds, in
+    partition-id order (rows keep their order within a partition)."""
     pids = changes.column(PART_COL).to_numpy()
     order = np.argsort(pids, kind="stable")
-    changes = changes.take(order)
-    cuts = [0, *(np.flatnonzero(np.diff(pids[order])) + 1), len(pids)]
-    out = [merge_fn(changes.slice(lo, hi - lo), cfg=cfg, pass_id=pass_id,
-                    pass_seq=pass_seq, lineage_break=lineage_break)
-           for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-    lineage = (pa.concat_tables(out).cast(LINEAGE_SCHEMA) if out
-               else LINEAGE_SCHEMA.empty_table())
-    return lineage, {"executor": "driver", "planned_bytes": nbytes}
+    changes, pids = changes.take(order), pids[order]
+    cuts = [0, *(np.flatnonzero(np.diff(pids)) + 1), len(pids)]
+    return {int(pids[lo]): changes.slice(lo, hi - lo)
+            for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo}
+
+
+@ray.remote
+def remote_call(fn, *args):
+    """``fn(*args)`` in a plain Ray task (object refs in ``args`` resolved)."""
+    return fn(*args)
+
+
+def apply_on_tasks(inputs: list, cfg: JobConfig, pass_id: str,
+                   splits: dict[int, tuple[int, int]] | None = None,
+                   pass_seq: int = -1, hot_convs: tuple[str, ...] = (),
+                   lineage_break: bool = False, merge_fn=merge_partition,
+                   prepare=None) -> pa.Table:
+    """The task executor of a pass; returns the lineage table.  One route
+    task per input runs ``combine_changes`` on ``prepare(input)`` (or on
+    the input, a block ref of a normalized Dataset, as ``bulk_load`` and
+    ``repartition_lake`` hand theirs over) and returns one slice per
+    active partition (split children included); then one merge task per
+    partition calls ``merge_fn`` on its slices, at most
+    ``cfg.apply_concurrency`` at once.  A merge task whose worker dies is
+    retried up to ``cfg.apply_max_retries`` times (the reference's
+    write-timeout retry, ``Policies/RetryPolicy.cs:18-23``): every effect
+    is gated on the idempotent manifest commit, so the retry rewrites
+    identical bytes."""
+    if not inputs:
+        return LINEAGE_SCHEMA.empty_table()
+    from migration_pair_ray.state.manifest import LakeMeta
+    pids = LakeMeta(cfg.lake_dir).active_partition_ids(cfg.num_partitions)
+
+    def route(src):
+        changes = combine_changes(src if prepare is None else prepare(src),
+                                  cfg, splits, hot_convs)
+        parts = _by_partition(changes)
+        out = [parts.pop(pid, changes.slice(0, 0)) for pid in pids]
+        if parts:
+            raise RuntimeError(f"rows routed to inactive partitions {list(parts)}")
+        return out if len(out) > 1 else out[0]
+
+    def merge(*slices):
+        return merge_fn(pa.concat_tables(slices, promote_options="permissive"),
+                        cfg=cfg, pass_id=pass_id, pass_seq=pass_seq,
+                        lineage_break=lineage_break)
+
+    router = remote_call.options(num_returns=len(pids))
+    routed = [router.remote(route, src) for src in inputs]
+    if len(pids) == 1:
+        routed = [[r] for r in routed]
+    merger = remote_call.options(max_retries=cfg.apply_max_retries)
+    refs, running = [], []
+    for i in range(len(pids)):
+        if cfg.apply_concurrency and len(running) >= cfg.apply_concurrency:
+            _, running = ray.wait(running)
+        refs.append(merger.remote(merge, *(r[i] for r in routed)))
+        running.append(refs[-1])
+    return _lineage(ray.get(refs))
 
 
 def combine_changes(batch: pa.Table, cfg: JobConfig,
                     splits: dict[int, tuple[int, int]] | None,
                     hot_convs: tuple[str, ...]) -> pa.Table:
     """The pass's combiner, one function for both executors (the driver
-    runs it once over the whole pass, Ray Data once per block): reduce
-    ``batch`` with the lake's kernel, add the survivors' partition column,
-    and stamp each survivor with its partition's raw lsn range in
+    runs it once over the whole pass, the task executor once per input):
+    reduce ``batch`` with the lake's kernel, add the survivors' partition
+    column, and stamp each survivor with its partition's raw lsn range in
     ``batch`` (``RAW_LSN_COLS``), so the merge records the offsets the
     pass applied whatever the reduce dropped."""
     if batch.num_rows == 0:
@@ -165,10 +261,8 @@ def combine_changes(batch: pa.Table, cfg: JobConfig,
 
 def _pinned_state_bytes(cfg: JobConfig) -> int:
     """Uncompressed bytes the footers of the lake's pinned state files
-    declare (every active partition's current record): the state a pass
-    may merge into.  A plain loop: ``read_footer`` keeps each parse, so a
-    tailer parses a state file's footer once, after the pass that wrote
-    it."""
+    declare: the state a pass may merge into (``read_footer`` keeps each
+    parse, so a tailer parses a state file's footer once)."""
     from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
                                                    record_files)
     store = ManifestStore(cfg.manifest_dir)
@@ -179,49 +273,12 @@ def _pinned_state_bytes(cfg: JobConfig) -> int:
     return sum(read_footer(p)[1] for p in paths)
 
 
-def apply_dataset(ds: "ray.data.Dataset", cfg: JobConfig, pass_id: str,
-                  splits: dict[int, tuple[int, int]] | None = None,
-                  pass_seq: int = -1,
-                  hot_convs: tuple[str, ...] = (),
-                  lineage_break: bool = False,
-                  merge_fn=merge_partition) -> pa.Table:
-    """The Ray Data executor: the partition→merge→commit tail on a
-    normalized change Dataset; returns the lineage table.  Passes over
-    change files reach it through ``apply_changes_ds``'s plan;
-    ``bulk_load`` (a CSV/Parquet snapshot reader) and ``repartition_lake``
-    (a lake read) hand over their Datasets directly, built inside
-    ``_push_shuffle``.
-
-    The merge stage is plain Ray tasks, at most ``cfg.apply_concurrency``
-    at once, so a pass holds no CPU after it returns.  It carries EXPLICIT
-    retry semantics (the analog of the reference's write-timeout retry
-    policy, ``Policies/RetryPolicy.cs:18-23``): a merge task whose worker
-    dies is retried, which is safe because every effect is gated on the
-    idempotent manifest commit — the retry rewrites identical bytes.
-    """
-    # whole-block batches (batch_size=None): zero-copy through the fused
-    # map stages; an explicit batch_size would re-slice and copy each block.
-    # The combiner is kernel-dispatched: both kernels are join-semilattices,
-    # so the per-batch partial reduce before the shuffle stays safe.
-    ds = ds.map_batches(lambda b: combine_changes(b, cfg, splits, hot_convs),
-                        batch_format="pyarrow")
-    lineage = ds.groupby(PART_COL).map_groups(
-        functools.partial(merge_fn, cfg=cfg, pass_id=pass_id,
-                          pass_seq=pass_seq, lineage_break=lineage_break),
-        batch_format="pyarrow",
-        concurrency=cfg.apply_concurrency,
-        max_retries=cfg.apply_max_retries,
-    )
-    out = lineage.take_all()  # tiny: one record per partition
-    return pa.Table.from_pylist(out, schema=LINEAGE_SCHEMA)
-
-
 class _push_shuffle:
     """Context manager selecting the push-based sort shuffle for every
     Dataset CREATED inside the block (Ray snapshots the DataContext into a
     Dataset's plan at creation — setting the strategy after building the
-    pipeline is a silent no-op).  Measured ~5x on the replay exchange
-    (12.6s vs 61-88s, 20M events, 32 CPUs)."""
+    pipeline is a silent no-op).  Measured ~5x on a groupby exchange
+    (12.6s vs 61-88s, 20M events, 32 CPUs); ``queries._push_heavy``."""
 
     def __enter__(self):
         from ray.data.context import DataContext, ShuffleStrategy
@@ -313,13 +370,13 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
     if qdir is not None:
         from migration_pair_ray.stages.quarantine import make_quarantine_gate
         gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
-    lineage, plan = apply_changes_ds([(read_files, gates)], read_schema, cfg,
-                                     pass_id, splits=meta.splits(),
-                                     pass_seq=pass_seq,
-                                     hot_convs=meta.hot_convs())
+    lineage, plan, file_rows = apply_changes_ds(
+        [(read_files, gates)], read_schema, cfg, pass_id, splits=meta.splits(),
+        pass_seq=pass_seq, hot_convs=meta.hot_convs())
 
-    # raw event count from footers (free); lineage rows_in is post-reduce
-    events_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    # raw events of the pass's new files (not the txn carry-over), from the
+    # planner's footer parse; lineage rows_in is post-reduce
+    events_in = sum(file_rows[f] for f in files)
     _write_lineage(cfg, pass_id, lineage)
     if txn_state is not None:
         # registry delta lands BEFORE the checkpoint: a crash in between
@@ -377,18 +434,13 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
 def read_in_driver(nbytes: int) -> bool:
     """The planner's executor choice, from the uncompressed bytes the
     Parquet footers of a read or a pass declare.  Work within Ray Data's
-    own block target (``DataContext.target_max_block_size``, 128 MiB by
-    default) would be about one block anyway, so it runs in the driver
-    and skips the fixed cost every Dataset pays (datasource plan, metadata
-    tasks, streaming-executor start-up, and for a pass the groupby
-    exchange and merge tasks); larger work runs on Ray Data.
-    ``read_lake``, ``final_state``, ``lookup.fetch_conversations`` and
-    every pass through ``apply_changes_ds`` choose here.  The driver
-    executor of a scan or a pass keeps the parallelism of the read tasks
-    it replaces: its per-file and per-partition work runs on
-    ``map_in_driver``'s threads, one per CPU this process may run on.
-    The planners of reads take state-file footers from ``read_footer``,
-    which parses each published file once per process."""
+    block target (``DataContext.target_max_block_size``, 128 MiB by
+    default) is about one block, so it runs in the driver, on
+    ``map_in_driver``'s threads, and skips the fixed cost of remote work
+    (task start-up, object-store hand-over); larger work runs the same
+    kernels in Ray tasks.  ``read_lake``, ``final_state``,
+    ``lookup.fetch_conversations`` and ``apply_changes_ds`` choose
+    here."""
     return nbytes <= ray.data.DataContext.get_current().target_max_block_size
 
 
@@ -403,9 +455,7 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
                    finalize=None) -> pa.Table:
     """One pinned partition's committed state as one table conformed to
     ``schema`` (the read's unified footer schema) — the per-partition
-    kernel both lake-read executors share: the driver executor calls it
-    for every partition, the distributed one in its merge-on-read and
-    ``finalize`` tasks.
+    kernel both lake-read executors share.
 
     A merge-on-read partition or a ``finalize`` needs full rows (keys,
     ts, lsn, op, every cell): base and deltas fold with the lake's
@@ -443,22 +493,16 @@ def read_lake(cfg: JobConfig, as_of: str | None = None,
     """Dataset over the lake's committed internal state (tombstone rows
     included; only manifest-pinned files are read).
 
-    One manifest-planned read, two executors.  The planner reads every
-    pinned manifest and every footer (schema + uncompressed bytes;
-    ``read_footer`` parses a published file once per process), and
-    ``read_in_driver`` picks the executor from the planned bytes: a read
-    within Ray Data's block target runs ``read_partition`` for every
-    partition in the driver, on one thread per CPU the driver may run on
-    (``map_in_driver``) and with each file opened once, to decode, and
-    returns ONE block (``driver_dataset``); a larger one streams plain
-    partitions through ``read_parquet`` and runs
-    ``read_partition`` in one task per merge-on-read/``finalize``
-    partition.  Both conform to the same unified schema with the same
-    kernels, so they return the same rows.
+    One manifest-planned read, two executors of ``read_partition``,
+    chosen by ``read_in_driver`` from the pinned footers' bytes: in the
+    driver on ``map_in_driver``'s threads, returning ONE block
+    (``driver_dataset``), or one streamed Ray Data read task per
+    partition (``_PartitionReads``).  Both conform to the same unified
+    schema with the same kernel, so they return the same rows.
 
     ``finalize`` (internal): a ``pa.Table -> pa.Table`` applied to each
-    partition's COMPLETE state table (inside one per-partition read task
-    on the distributed executor).  Cell-kernel lakes need this shape for
+    partition's COMPLETE state table (inside ``read_partition``, on
+    either executor).  Cell-kernel lakes need this shape for
     any fold that must see every determiner row of a key
     (``cell_finalize``) — an arbitrary block slice of the lake is not
     finalizable under cell semantics.  Partition enumeration is resolved
@@ -489,10 +533,8 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
                sort: list[str] | None = None) -> "ray.data.Dataset":
     """``read_lake`` plus two steps ``final_state`` passes into the read:
     ``rows``, a ``pa.Table -> pa.Table`` valid on any slice of the lake
-    (row-kernel visibility + projection), and the ``sort`` keys.  The
-    driver executor runs ``rows`` on each partition, in the same
-    ``map_in_driver`` call that reads it, and sorts its one combined
-    table; the distributed one stacks both on the Dataset."""
+    (row-kernel visibility + projection), run on each partition where it
+    is read, and the ``sort`` keys."""
     from migration_pair_ray.state.manifest import (
         CheckpointStore, LakeMeta, ManifestStore, TimeTravelError,
         manifest_as_of, record_files)
@@ -514,7 +556,7 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
                 f"{sorted(pass_seqs)})")
         target_seq = pass_seqs[as_of]
         base_partitions = layout.get("num_partitions", cfg.num_partitions)
-    manifests, paths, mor_manifests = [], [], []
+    manifests = []
     for pid in pids:
         m = store.read(pid)
         if as_of is not None:
@@ -524,89 +566,57 @@ def _read_lake(cfg: JobConfig, as_of: str | None, finalize,
                     f"partition {pid} is a split child with no record at or "
                     f"before pass {as_of!r}; its parent's pre-split state "
                     f"was GC'd — time travel cannot cross a split")
-        if not m:
-            continue
-        manifests.append(m)
-        if m.get("delta_files") or finalize is not None:
-            # merge-on-read partition (files hold MULTIPLE versions per
-            # key — cannot stream raw) or a caller-supplied per-partition
-            # finalize: one read-merge task per partition folds base +
-            # deltas with the lake's merge kernel
-            mor_manifests.append(m)
-        else:
-            paths.extend(state_file_paths(cfg.lake_dir, m))
-
-    if not paths and not mor_manifests:
+        if m:
+            manifests.append(m)
+    footers = [[read_footer(str(Path(cfg.lake_dir) / f))
+                for f in record_files(m)] for m in manifests]
+    sizes = [sum(n for _, n, _ in fs) for fs in footers]
+    if not any(footers):
         from migration_pair_ray.schemas import CHANGE_SCHEMA
         empty = CHANGE_SCHEMA.empty_table()
         empty = _project(finalize(empty) if finalize is not None else empty,
                          columns)
         return driver_dataset([empty if rows is None else rows(empty)], sort)
     # Partitions evolve independently (a pass may touch only some), so state
-    # files can disagree on schema; conform every batch to the deterministic
-    # unified schema (footer reads only). This also drops the hive-inferred
-    # ``part=NNNNN`` layout column.
-    import json as _json
-
+    # files can disagree on schema; conform every partition to the
+    # deterministic unified schema (footer reads only).
     from migration_pair_ray.schemas import unify_change_schemas
-    mor_paths = [str(Path(cfg.lake_dir) / f)
-                 for m in mor_manifests for f in record_files(m)]
-    footers = [read_footer(p) for p in paths + mor_paths]
-    schema = unify_change_schemas([s for s, _, _ in footers])
+    schema = unify_change_schemas([s for fs in footers for s, _, _ in fs])
     if columns is not None:
         unknown = [c for c in columns if c not in schema.names]
         if unknown:
             raise ValueError(f"read_lake columns {unknown} not in the "
                              f"lake schema {schema.names}")
     kernel = meta.merge_kernel(layout)
-    if read_in_driver(sum(n for _, n, _ in footers)):
-        def partition(m: dict) -> pa.Table:
-            t = read_partition(cfg.lake_dir, m, kernel, schema, columns,
-                               finalize)
-            return t if rows is None else rows(t)
 
+    def partition(m: dict) -> pa.Table:
+        t = read_partition(cfg.lake_dir, m, kernel, schema, columns, finalize)
+        return t if rows is None else rows(t)
+
+    if read_in_driver(sum(sizes)):
         return driver_dataset(map_in_driver(partition, manifests), sort)
-    parts = []
-    if paths:
-        if columns is None:
-            parts.append(ray.data.read_parquet(paths, file_extensions=None)
-                         .map_batches(make_normalizer(schema),
-                                      batch_format="pyarrow"))
-        else:
-            # prune at the read — but a file can predate an added column,
-            # so group files by which needed columns their footer carries
-            # and read each group with its own projection (the normalizer
-            # backfills typed nulls to the pruned unified schema).  A file
-            # carrying none of them still contributes rows: read one
-            # always-present rider column for the row count.  The
-            # caller's column order is the order ``read_partition`` gives.
-            groups: dict[tuple, list[str]] = {}
-            for p, (s, _, _) in zip(paths, footers):
-                key = tuple(c for c in columns if c in s.names)
-                groups.setdefault(key, []).append(p)
-            norm = make_normalizer(
-                pa.schema([schema.field(c) for c in columns]))
-            for key, grp in groups.items():
-                cols = list(key) or ["lsn"]
-                parts.append(
-                    ray.data.read_parquet(grp, file_extensions=None,
-                                          columns=cols)
-                    .map_batches(norm, batch_format="pyarrow"))
-    if mor_manifests:
-        lake_dir = cfg.lake_dir
-
-        def read_task(t: pa.Table) -> pa.Table:       # one manifest
-            return read_partition(lake_dir,
-                                  _json.loads(t.column("manifest")[0].as_py()),
-                                  kernel, schema, columns, finalize)
-
-        parts.append(ray.data.from_items(
-            [{"manifest": _json.dumps(m)} for m in mor_manifests]
-        ).map_batches(read_task, batch_format="pyarrow", batch_size=1))
-    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    if rows is not None:
-        ds = ds.map_batches(rows, batch_format="pyarrow")
+    ds = ray.data.read_datasource(_PartitionReads(partition, manifests, sizes),
+                                  override_num_blocks=len(manifests))
     return ds.sort(sort) if sort else ds
+
+
+class _PartitionReads(ray.data.Datasource):
+    """The task executor of a lake read: one read task per pinned manifest
+    (``sizes``: its footer bytes) running the driver's ``partition``
+    closure, streamed: a consumer's backpressure (``iter_batches``,
+    ``write_parquet``) bounds how many partitions are held at once."""
+
+    def __init__(self, partition, manifests: list[dict], sizes: list[int]):
+        from ray.data.block import BlockMetadata
+        self._tasks = [ray.data.ReadTask(lambda m=m: [partition(m)],
+                                         BlockMetadata(None, n, None, None))
+                       for m, n in zip(manifests, sizes)]
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(t.metadata.size_bytes for t in self._tasks)
+
+    def get_read_tasks(self, parallelism: int) -> list:
+        return self._tasks      # the partition is the kernel's unit
 
 
 def repartition_lake(cfg: JobConfig, new_cfg: JobConfig) -> dict:
@@ -615,11 +625,12 @@ def repartition_lake(cfg: JobConfig, new_cfg: JobConfig) -> dict:
     directory.  A layout change is never a config edit (the LakeMeta gate
     aborts that) — it is this explicit bulk job:
 
-        read_lake(old)  →  same partition→merge→commit tail, new layout
+        read_lake(old)  →  the same route → merge tasks, new layout
 
     The internal state (one winner per key, tombstones + op/lsn intact)
-    flows as the change stream, so LWW semantics, ordering and manifests
-    come from the exact same code path as replay.  The old lake's pass
+    flows as the change stream, one route task per block of the read
+    (``apply_on_tasks``; the read streams its partitions into them), so LWW semantics, ordering and manifests come
+    from the exact same code path as replay.  The old lake's pass
     checkpoints are carried over, so change-log consumption resumes from
     the same point against the new lake.  The old lake directory is left
     untouched for rollback.
@@ -667,9 +678,8 @@ def _repartition_locked(cfg: JobConfig, new_cfg: JobConfig, t0: float) -> dict:
             h.update(f"{pid}:{m['pass_id']}:{m['row_count']}".encode())
     pass_id = h.hexdigest()[:16]
 
-    with _push_shuffle():
-        lineage = apply_dataset(read_lake(cfg), new_cfg, pass_id,
-                                hot_convs=tuple(new_cfg.hot_convs or ()))
+    lineage = apply_on_tasks(read_lake(cfg).to_arrow_refs(), new_cfg, pass_id,
+                             hot_convs=tuple(new_cfg.hot_convs or ()))
 
     # carry pass checkpoints over so discover() on the new lake skips the
     # change files the old lake already consumed
@@ -699,25 +709,15 @@ def final_state(cfg: JobConfig, sort: bool = True, drop_meta: bool = True,
     ordering from BASELINE.json).  ``as_of`` = committed pass_id for a
     time-travel read (see read_lake).
 
-    ``columns`` prunes the read: a consumer that needs two columns must
-    not pull the text payload off storage.  Row-kernel lakes prune at the
-    Parquet read itself (the visibility ``op`` column rides internally and
-    is dropped); cell-kernel and merge-on-read partitions fold full rows
-    per partition and prune the fold's output (the fold needs every
-    determiner cell).  ``sort=True`` requires the merge keys among
-    ``columns``; op/lsn cannot be requested this way (use
-    ``drop_meta=False`` or ``read_lake``).
+    ``columns`` prunes the read (``read_partition``; the visibility ``op``
+    column rides internally and is dropped).  ``sort=True`` requires the
+    merge keys among ``columns``; op/lsn cannot be requested this way
+    (use ``drop_meta=False`` or ``read_lake``).
 
-    Row-kernel lakes finalize per block (each key is ONE state row, so any
-    slice is finalizable).  Cell-kernel lakes finalize per PARTITION (a
-    key's visible row folds from its whole determiner set): the fold runs
-    once per partition via ``read_lake(finalize=...)`` — the same
-    granularity the merge tasks work at, so it holds at scale.
-
-    Visibility, projection and the sort are passed INTO the lake read, so
-    a lake within Ray Data's block target (``read_in_driver``) comes back
-    as one driver-built block with no operator stacked on it; a larger
-    lake runs them as Ray Data operators on the distributed read."""
+    Cell-kernel lakes finalize per PARTITION (a key's visible row folds
+    from its whole determiner set, ``read_lake(finalize=...)``).
+    Visibility, projection and the sort are passed INTO the lake read:
+    each partition's read runs them, on either executor."""
     from migration_pair_ray.state.manifest import LakeMeta
     kernel = LakeMeta(cfg.lake_dir).merge_kernel()
     if columns is not None:

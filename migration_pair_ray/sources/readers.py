@@ -74,14 +74,17 @@ def read_footer(path: str) -> tuple[pa.Schema, int, pq.FileMetaData]:
 
 
 def read_parquet_file(path: str, columns: list[str] | None = None,
-                      metadata: pq.FileMetaData | None = None) -> pa.Table:
+                      metadata: pq.FileMetaData | None = None,
+                      row_groups: list[int] | None = None) -> pa.Table:
     """One Parquet file decoded from one open: no dataset discovery (as
     ``pq.read_table`` runs on every call) and no Arrow thread pool (as
     Ray Data's read tasks decode).  ``metadata`` is the file's footer
     when the caller holds it (``read_footer``), so the file is not parsed
-    again.  The in-process decode of every state and change file."""
+    again; ``row_groups`` reads only those (a pass's route input).  The
+    in-process decode of every state and change file."""
     with pq.ParquetFile(path, metadata=metadata) as f:
-        return f.read(columns=columns, use_threads=False)
+        return (f.read(columns=columns, use_threads=False) if row_groups is None
+                else f.read_row_groups(row_groups, columns, use_threads=False))
 
 
 def driver_dataset(tables: list[pa.Table],

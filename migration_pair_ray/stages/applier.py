@@ -1,7 +1,7 @@
 """The upsert-apply stage: ``merge_partition`` for each partition of a
 pass — in the driver, one partition after another, when the pass fits one
-block, else as ``groupby(PART_COL).map_groups(merge_partition)`` in plain
-Ray tasks (``pipelines/replay.apply_changes_ds`` chooses).
+block, else in one plain Ray task per partition, fed by one route task
+per input (``pipelines/replay.apply_changes_ds`` chooses).
 
 This is the Ray-Data-native replacement for the reference's batched async
 Cassandra writer (``Tasks/MigrationTask.cs:118-134`` + the implicit upsert
@@ -49,8 +49,8 @@ LINEAGE_SCHEMA = pa.schema(
         # change rows entering the merge.  The driver executor reduces the
         # whole pass before routing, so this is the partition's distinct
         # keys (row kernel; determiner rows under the cell kernel).  The
-        # Ray Data executor reduces per block, so a key whose events span
-        # blocks counts once per block: the same pass reports more rows.
+        # task executor reduces per input (file or block), so a key whose
+        # events span inputs counts once per input: the same pass reports more.
         pa.field("rows_in", pa.int64()),
         pa.field("rows_state", pa.int64()),     # rows in the committed state file
         pa.field("tombstones", pa.int64()),     # tombstone keys held in state

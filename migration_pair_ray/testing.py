@@ -3,9 +3,9 @@ story (importable on Ray workers — test modules are not).
 
 The reference handles write-timeouts by sleeping and retrying the write
 (``Policies/RetryPolicy.cs:18-23``).  Here the equivalent guarantee is that
-a merge task whose worker dies mid-task is retried by Ray (the task's
-``max_retries=cfg.apply_max_retries`` on the apply stage) and the retry is
-harmless because every effect is gated on the idempotent manifest commit.
+a merge task whose worker dies mid-task is retried by Ray (the task
+executor's ``max_retries=cfg.apply_max_retries`` on each merge task) and
+the retry is harmless because every effect is gated on the manifest commit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ def fault_injecting_merge(group, cfg, pass_id, **kw):
     """``merge_partition`` whose worker process dies mid-task exactly once
     — the first attempt to create the marker file wins the right to crash.
     Later attempts (including the retried task) merge normally.  Pass as
-    ``merge_fn`` to ``apply_changes_ds``."""
+    ``merge_fn`` to ``apply_changes_ds`` on its task executor."""
     marker = Path(cfg.lake_dir) / "_fault_injected_once"
     marker.parent.mkdir(parents=True, exist_ok=True)
     try:

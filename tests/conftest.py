@@ -34,7 +34,7 @@ def distributed_reads(monkeypatch):
     """Send every manifest-planned lake read (``read_lake``,
     ``final_state``, ``fetch_conversations``) and every planned pass
     (``replay``, ``replay_multi``, refill: ``apply_changes_ds``) to its
-    Ray Data executor.  Test lakes and logs sit far below Ray Data's
+    executor of plain Ray tasks.  Test lakes and logs sit far below Ray Data's
     block target, so the planner would run them all in the driver; this
     patches its one predicate, which reads and passes share."""
     from migration_pair_ray.pipelines import replay

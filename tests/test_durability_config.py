@@ -97,7 +97,7 @@ def _state_hashes(lake: str) -> dict:
 
 @pytest.mark.usefixtures("ray_session", "distributed_reads")
 def test_applier_midtask_retry_bit_identical(tmp_lake, tmp_path):
-    """On the Ray Data executor (the fault's ``os._exit`` would end the
+    """On the task executor (the fault's ``os._exit`` would end the
     driver executor's own process), a merge task killed mid-task is
     retried and the lake is bit-identical to an undisturbed one."""
     log, lake = tmp_lake
@@ -113,8 +113,8 @@ def test_applier_midtask_retry_bit_identical(tmp_lake, tmp_path):
     cfg_clean = JobConfig(changelog_dir=log, lake_dir=lake2, num_partitions=4)
 
     from migration_pair_ray.testing import fault_injecting_merge
-    lineage, plan = apply_changes_ds([(files, [])], schema, cfg_flaky,
-                                     pass_id, merge_fn=fault_injecting_merge)
+    lineage, plan, _ = apply_changes_ds([(files, [])], schema, cfg_flaky,
+                                        pass_id, merge_fn=fault_injecting_merge)
     assert plan["executor"] == "ray_data"
     # the injected crash did fire
     assert (pathlib.Path(lake) / "_fault_injected_once").exists()
@@ -141,14 +141,14 @@ def test_passes_release_their_cpus(tmp_lake, tmp_path):
     runs them) give every logical CPU they took back when they return:
     a merge stage still holding CPUs after a pass stalls the next one.
     These passes fit one block, so they run on the driver executor;
-    ``repartition_lake`` always runs on Ray Data."""
+    ``repartition_lake`` always runs on Ray tasks."""
     _passes_release_their_cpus(tmp_lake, tmp_path, "driver")
 
 
 @pytest.mark.usefixtures("ray_session", "distributed_reads")
 def test_passes_release_their_cpus_distributed(tmp_lake, tmp_path):
-    """The same passes on the Ray Data executor, whose merge stage runs
-    in Ray tasks."""
+    """The same passes on the task executor, whose route and merge
+    stages run in Ray tasks."""
     _passes_release_their_cpus(tmp_lake, tmp_path, "ray_data")
 
 

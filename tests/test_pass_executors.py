@@ -1,9 +1,10 @@
 """The pass planner's two executors (``replay.apply_changes_ds``): a pass
 whose change files and pinned lake state declare at most Ray Data's block
 target runs in the driver, one partition after another; a larger one runs
-on Ray Data's groupby exchange and merge tasks.  Each test builds the same
-lake once per executor, the Ray Data one through the ``distributed_reads``
-fixture, and asks for the same bytes: state files and Bloom sidecars
+one route task per input (row-group ranges of the change files) and one
+merge task per partition (recorded as ``"ray_data"``).  Each test builds the same lake once per
+executor, the task one through the ``distributed_reads`` fixture, and
+asks for the same bytes: state files and Bloom sidecars
 byte-identical, lineage equal except ``seconds`` and ``rows_in``,
 quarantined and pending rows equal as multisets, and the final state equal
 to the last-writer-wins oracle."""
@@ -254,8 +255,8 @@ def test_quarantine_log_same_rows_on_both_executors(tmp_path, request):
 @pytest.mark.usefixtures("ray_session")
 def test_refill_byte_identical_on_both_executors(tmp_path, request):
     """A gated refill of the largest partition: the refill's ``keep``
-    filter and quarantine gate run per file in the driver, per block on
-    Ray Data."""
+    filter and quarantine gate run per file, or per row-group range of a
+    file, on both executors (in the driver, in the route tasks)."""
     from migration_pair_ray.pipelines.repair import refill_partition
     from migration_pair_ray.state.manifest import ManifestStore
     files = _with_malformed_rows(tmp_path / "stage",
@@ -322,27 +323,74 @@ def test_txn_log_same_state_and_pending_on_both_executors(tmp_path, request):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_small_replay_starts_no_ray_data(tmp_lake, monkeypatch):
+def test_small_replay_starts_no_ray_data(tmp_path, request):
     """A pass that fits one block runs in the driver: it builds no
     ``read_parquet`` plan and no ``groupby`` exchange, and its checkpoint
-    records the driver executor and the bytes it planned on."""
+    records the driver executor and the bytes it planned on.  Forced
+    onto the task executor, the same pass builds neither (it runs plain
+    route and merge tasks) and records ``"ray_data"``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass started a Ray Data read or exchange")
+
+    for executor in ("driver", "ray_data"):
+        if executor == "ray_data":
+            request.getfixturevalue("distributed_reads")
+        log = tmp_path / f"{executor}_log"
+        files = generate_change_log(str(log), n_events=2000, n_convs=12,
+                                    n_files=3, tool_epoch=1, seed=17)
+        cfg = JobConfig(changelog_dir=str(log),
+                        lake_dir=str(tmp_path / f"{executor}_lake"),
+                        num_partitions=8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ray.data, "read_parquet", refuse)
+            mp.setattr(ray.data.Dataset, "groupby", refuse)
+            events_in = replay(cfg)["events_in"]
+        assert events_in == sum(pq.read_metadata(f).num_rows for f in files)
+        (rec,) = task_history(cfg)["passes"]
+        assert rec["executor"] == executor
+        assert rec["planned_bytes"] == sum(read_footer(f)[1] for f in files)
+        assert lineage_summary(cfg)["executors"] == {executor: 1}
+        _assert_oracle(cfg, files)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_driver_pass_parses_each_change_footer_once(tmp_lake, monkeypatch):
+    """The planner's footer parse serves the pass's read and its
+    ``events_in``: each change file's footer is parsed once
+    (``pq.read_metadata``, or a ``pq.ParquetFile`` opened without a
+    parsed footer), besides the schema probe (``unified_schema``, counted
+    apart)."""
     log, lake = tmp_lake
     files = generate_change_log(log, n_events=2000, n_convs=12, n_files=3,
                                 tool_epoch=1, seed=17)
+    parses, probes = collections.Counter(), collections.Counter()
+    real_file, real_metadata, real_schema = (pq.ParquetFile, pq.read_metadata,
+                                             pq.read_schema)
+
+    class Counting(real_file):
+        def __init__(self, source, *args, metadata=None, **kwargs):
+            if metadata is None:
+                parses[str(source)] += 1
+            super().__init__(source, *args, metadata=metadata, **kwargs)
+
+    def read_metadata(f, *args, **kwargs):
+        parses[str(f)] += 1
+        return real_metadata(f, *args, **kwargs)
+
+    def read_schema(f, *args, **kwargs):
+        probes[str(f)] += 1
+        return real_schema(f, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "ParquetFile", Counting)
+    monkeypatch.setattr(pq, "read_metadata", read_metadata)
+    monkeypatch.setattr(pq, "read_schema", read_schema)
     cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=8)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-block pass started Ray Data")
-
-    monkeypatch.setattr(ray.data, "read_parquet", refuse)
-    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
-    replay(cfg)
+    events_in = replay(cfg)["events_in"]
     monkeypatch.undo()
-    (rec,) = task_history(cfg)["passes"]
-    assert rec["executor"] == "driver"
-    assert rec["planned_bytes"] == sum(read_footer(f)[1] for f in files)
-    assert lineage_summary(cfg)["executors"] == {"driver": 1}
-    _assert_oracle(cfg, files)
+    assert events_in == sum(pq.read_metadata(f).num_rows for f in files)
+    assert task_history(cfg)["passes"][0]["executor"] == "driver"
+    assert {f: parses[f] for f in files} == {f: 1 for f in files}
+    assert probes == {f: 1 for f in files}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -377,3 +425,50 @@ def test_pass_over_block_target_runs_on_ray_data(tmp_path):
     assert lakes["over"][0]["planned_bytes"] == second
     assert (_tree_bytes(lakes["edge"][1], "part=*/state-*")
             == _tree_bytes(lakes["over"][1], "part=*/state-*"))
+
+
+def _route_bytes(route: list[tuple]) -> int:
+    return sum(md.row_group(rg).total_byte_size
+               for _, md, rgs, _ in route for rg in rgs)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_route_inputs_cut_row_groups_and_pack_files(tmp_path):
+    """The task executor's route inputs cover every row group of the pass
+    once, in input order, each within the pass's bytes over the
+    cluster's CPUs (``ray_session`` starts four), so every CPU gets a route
+    task: a file of ten or more row groups is cut into ranges of several row
+    groups, and twelve one-row-group files are packed several to a
+    task."""
+    from migration_pair_ray.pipelines.replay import _route_inputs
+    (big,) = _row_log(tmp_path / "big", n_files=1, n_events=3000)
+    pq.write_table(pq.read_table(big), big, row_group_size=300)
+    small = _row_log(tmp_path / "small", n_files=12)
+    for files in ([big], small):
+        mds = [pq.read_metadata(f) for f in files]
+        nbytes = sum(md.row_group(i).total_byte_size
+                     for md in mds for i in range(md.num_row_groups))
+        routes = _route_inputs([(f, md, ["fn"]) for f, md in zip(files, mds)],
+                               nbytes)
+        assert [(p, rg) for r in routes for p, _, rgs, _ in r
+                for rg in rgs] == [(f, rg) for f, md in zip(files, mds)
+                                   for rg in range(md.num_row_groups)]
+        assert all(fns == ["fn"] for r in routes for _, _, _, fns in r)
+        assert all(_route_bytes(r) <= -(-nbytes // 4) for r in routes)
+        assert 4 <= len(routes) < sum(md.num_row_groups for md in mds)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_large_change_file_byte_identical_on_both_executors(tmp_path,
+                                                             request):
+    """One change file of ten or more row groups: the task executor reads
+    it in row-group ranges, one route task each, and writes the driver's
+    bytes."""
+    (f,) = _row_log(tmp_path / "stage", n_files=1, n_events=3000,
+                    tool_epoch=0)
+    pq.write_table(pq.read_table(f), f, row_group_size=300)
+    assert pq.read_metadata(f).num_row_groups >= 10
+    driver, on_ray = _both(request, lambda name: _build(
+        tmp_path, name, [f], [[0]], {}))
+    _assert_same_lake(driver, on_ray)
+    _assert_oracle(on_ray, [f])

@@ -82,26 +82,33 @@ def test_bench_shaped_lake_scans_as_one_block(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_footers_over_block_target_read_distributed(tmp_path):
+def test_footers_over_block_target_read_distributed(tmp_path, monkeypatch):
     """The predicate is the footers' uncompressed bytes against Ray
     Data's ``target_max_block_size``: at the boundary the read stays in
-    the driver, one byte below it the same read runs on Ray Data."""
+    the driver, one byte below it the same read runs one Ray task per
+    active partition (one block each) and no ``read_parquet``."""
     cfg, files = _bench_shaped_lake(tmp_path)
     want = _oracle(files)
+    active = LakeMeta(cfg.lake_dir).active_partition_ids()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lake read planned read_parquet")
+
+    monkeypatch.setattr(ray.data, "read_parquet", refuse)
     ctx = ray.data.DataContext.get_current()
     saved = ctx.target_max_block_size
     planned = _planned_bytes(cfg)
     try:
         ctx.target_max_block_size = planned
-        at = final_state(cfg, sort=True)
-        assert len(_blocks(at)) == 1
-        assert "ReadParquet" not in at.stats()
+        assert len(_blocks(final_state(cfg, sort=True))) == 1
         ctx.target_max_block_size = planned - 1
-        over = final_state(cfg, sort=True)
-        got = over.to_pandas()
-        assert "ReadParquet" in over.stats()
+        tasks = _blocks(final_state(cfg, sort=False))
+        got = final_state(cfg, sort=True).to_pandas()
     finally:
         ctx.target_max_block_size = saved
+    assert len(active) == 16
+    assert len(tasks) == len(active)
+    assert all(b.num_rows for b in tasks)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
@@ -347,6 +354,31 @@ def _cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+@pytest.mark.usefixtures("ray_session", "distributed_reads")
+def test_task_executor_read_streams(tmp_path):
+    """Over the block target a lake read is a lazy Dataset, not a
+    materialized one: Ray Data's read tasks run the per-partition reads
+    as a consumer pulls them, so a streaming consumer (``write_parquet``)
+    holds a bounded number of partitions at once.  What it writes is the
+    oracle's answer."""
+    from ray.data.dataset import MaterializedDataset
+    cfg, files = _bench_shaped_lake(tmp_path)
+    ds = final_state(cfg, sort=False)
+    assert not isinstance(ds, MaterializedDataset)
+    ds.write_parquet(str(tmp_path / "export"))
+    got = (pq.read_table(str(tmp_path / "export")).to_pandas()
+           .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, _oracle(files), check_dtype=False)
+
+
+def _pool_threads() -> int:
+    """Live threads of ``map_in_driver``'s pools (its thread-name prefix):
+    Ray's and Ray Data's own daemon threads come and go on their own."""
+    import threading
+    return sum(t.name.startswith("map_in_driver")
+               for t in threading.enumerate())
+
+
 def test_map_in_driver_keeps_order_on_one_thread_per_cpu(monkeypatch):
     """The pool has one thread per CPU of the affinity mask (four items
     meet at a four-party barrier, which only concurrent threads can
@@ -360,20 +392,19 @@ def test_map_in_driver_keeps_order_on_one_thread_per_cpu(monkeypatch):
         barrier.wait()
         return x * 10
 
-    base = threading.active_count()
+    assert _pool_threads() == 0
     assert map_in_driver(meet, range(8)) == [x * 10 for x in range(8)]
-    assert threading.active_count() == base
+    assert _pool_threads() == 0
     _cpus(monkeypatch, 1)
     assert len(set(map_in_driver(lambda x: threading.get_ident(),
                                  range(3)))) == 1
     assert map_in_driver(meet, []) == []
-    assert threading.active_count() == base
+    assert _pool_threads() == 0
 
 
 def test_map_in_driver_reraises_the_first_error(monkeypatch):
     """The exception of the first failing item is re-raised, as the
     plain loop raises it, and the pool is gone afterwards."""
-    import threading
     _cpus(monkeypatch, 4)
 
     def fail_on(x):
@@ -381,10 +412,10 @@ def test_map_in_driver_reraises_the_first_error(monkeypatch):
             raise ValueError(f"item {x}")
         return x
 
-    base = threading.active_count()
+    assert _pool_threads() == 0
     with pytest.raises(ValueError, match="item 2"):
         map_in_driver(fail_on, range(8))
-    assert threading.active_count() == base
+    assert _pool_threads() == 0
 
 
 def _staged_lake(tmp_path, **kw) -> tuple[JobConfig, str]:
