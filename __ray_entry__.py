@@ -181,8 +181,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
 
-# FROZEN langid scoring SQL (generated once from functions.text.LangId's
-# profiles, then frozen): shared by the doc_langid oracle and the composed
+# FROZEN langid scoring SQL (generated once from functions.text.LANG_PROFILES,
+# then frozen): shared by the doc_langid oracle and the composed
 # corpus_curation oracle.  Being a literal makes the oracles independent of
 # the code under test — profile/scoring drift FAILS the check.
 _LANGID_SCORED_CTES = """padded AS (

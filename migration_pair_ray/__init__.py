@@ -2,19 +2,21 @@
 
 A from-scratch re-expression of the query/data-processing capabilities of
 ``vieira-andre/migration-pair`` ("Mycenae", a Cassandra row-copy CLI — see
-``/root/reference/Tasks/{Extraction,Insertion,EndToEnd}.cs``) as an idiomatic
-Ray Data engine:
+its ``Tasks/{Extraction,Insertion,EndToEnd}.cs``) as an idiomatic Ray Data
+engine:
 
 * change-log tailer  →  normalize  →  hash-partition on ``conv_id``  →
-  actor-pool last-writer-wins merge  →  partitioned Parquet lake with
+  last-writer-wins merge per partition (in the driver for a pass that fits
+  one block, else in plain Ray tasks)  →  partitioned Parquet lake with
   idempotent per-partition commit manifests (exactly-once replay),
 * plus snapshot export, bulk load, schema compliance (schema evolution aware),
 * plus the training-data operator family a 100 TB pipeline needs:
   dedup (exact / MinHash-LSH / SimHash / n-gram Jaccard / embedding cosine),
   similarity search, text analysis, multimodal plumbing.
 
-Everything is ``ray.data.Dataset`` + ``map_batches`` over zero-copy Arrow
-batches; raw Ray primitives are used only for broadcast (``ray.put``).
+Operators are ``ray.data.Dataset`` + ``map_batches`` of plain functions
+over zero-copy Arrow batches, run as Ray Data tasks; large passes and lake
+reads run the same kernels on plain Ray tasks (``pipelines/replay.py``).
 
 This package never calls ``ray.init()`` — sessions are owned by the caller
 (tests' conftest fixture, ``bench.py``, or the external driver).

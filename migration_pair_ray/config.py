@@ -1,9 +1,8 @@
 """Job configuration.
 
 Mirrors the *semantics* of the reference's ``Models/SettingsModel.cs:3-43``
-(source/target locations, batch size with a default when unset, task
-selection) re-expressed for a Parquet-lake world.  JSON-loadable like
-``appsettings.json``.
+(source/target locations, task selection) re-expressed for a Parquet-lake
+world.  JSON-loadable like ``appsettings.json``.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-
-DEFAULT_BATCH_SIZE = 100_000  # reference default: Models/SettingsModel.cs:10
 
 
 @dataclass
@@ -24,9 +21,6 @@ class JobConfig:
     lake_dir: str = ""
     # Number of hash partitions on conv_id. Fixed for the table's lifetime.
     num_partitions: int = 16
-    # Rows per batch through the normalize/partial-merge stages
-    # (reference InsertionBatch default 100_000, SettingsModel.cs:10).
-    batch_size: int = DEFAULT_BATCH_SIZE
     # Partitioning mode: "conv" = hash(conv_id) (conv-disjoint partitions,
     # cheap per-partition ordering) | "key" = hash(conv_id, turn_idx)
     # (salted: defeats hot-conversation skew; snapshot then needs a sort)
@@ -125,8 +119,6 @@ class JobConfig:
     quarantine_dir: str = ""
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:  # reference behavior: <=0 falls back to default
-            self.batch_size = DEFAULT_BATCH_SIZE
         if self.partition_mode not in ("conv", "key", "hot"):
             raise ValueError(f"partition_mode must be 'conv'|'key'|'hot', "
                              f"got {self.partition_mode!r}")

@@ -130,44 +130,38 @@ def md5_fingerprint(batch: pa.Table, text_col: str = "text",
 
 # ---------------------------------------------------------------- langid
 
-class LangId:
-    """Character-frequency language-ID heuristic — an actor-pool stage
-    (state: per-language character profiles built ONCE per actor in
-    __init__; the reference analog is the once-per-worker session singleton,
-    Tasks/MigrationTask.cs:29-60).
+# Per-language marker strings; a doc scores one point per occurrence.
+LANG_PROFILES = {
+    "en": (" the ", " and ", " of ", " to ", " is "),
+    "de": (" der ", " und ", " die ", " ist ", " das "),
+    "fr": (" le ", " la ", " et ", " les ", " est "),
+    "es": (" el ", " la ", " los ", " es ", " y "),
+    "zh": ("的", "是", "了", "在", "我"),
+}
 
-    Deterministic and dependency-free: scores each doc against small
-    character/function-word profiles; intended as the plumbing-correct
-    stand-in for a real fastText-style model (which isn't in this image).
+
+def lang_id(batch: pa.Table) -> pa.Table:
+    """Character-frequency language-ID heuristic: append ``lang_pred``,
+    the language of ``LANG_PROFILES`` whose markers occur most often in
+    ``text`` (ties go to the earlier language; no hit ⇒ ``"und"``).
+
+    Deterministic and dependency-free: the plumbing-correct stand-in for a
+    real fastText-style model (which isn't in this image).
     """
-
-    PROFILES = {
-        "en": (" the ", " and ", " of ", " to ", " is "),
-        "de": (" der ", " und ", " die ", " ist ", " das "),
-        "fr": (" le ", " la ", " et ", " les ", " est "),
-        "es": (" el ", " la ", " los ", " es ", " y "),
-        "zh": ("的", "是", "了", "在", "我"),
-    }
-
-    def __init__(self):
-        self.profiles = {k: list(v) for k, v in self.PROFILES.items()}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        text = pc.binary_join_element_wise(
-            pa.scalar(" "), pc.fill_null(batch.column("text"), ""),
-            pa.scalar(" "), "")
-        scores = []
-        for lang, marks in self.profiles.items():
-            s = None
-            for m in marks:
-                c = pc.cast(pc.count_substring(text, m), pa.int64())
-                s = c if s is None else pc.add(s, c)
-            scores.append((lang, s.to_numpy(zero_copy_only=False)))
-        mat = np.stack([s for _, s in scores])          # (n_langs, n_rows)
-        best = mat.argmax(axis=0)
-        langs = np.array([l for l, _ in scores])
-        pred = np.where(mat.max(axis=0) > 0, langs[best], "und")
-        return batch.append_column("lang_pred", pa.array(pred.tolist(), pa.string()))
+    text = pc.binary_join_element_wise(
+        pa.scalar(" "), pc.fill_null(batch.column("text"), ""),
+        pa.scalar(" "), "")
+    scores = []
+    for marks in LANG_PROFILES.values():
+        s = None
+        for m in marks:
+            c = pc.cast(pc.count_substring(text, m), pa.int64())
+            s = c if s is None else pc.add(s, c)
+        scores.append(s.to_numpy(zero_copy_only=False))
+    mat = np.stack(scores)                              # (n_langs, n_rows)
+    langs = np.array(list(LANG_PROFILES))
+    pred = np.where(mat.max(axis=0) > 0, langs[mat.argmax(axis=0)], "und")
+    return batch.append_column("lang_pred", pa.array(pred.tolist(), pa.string()))
 
 
 # ------------------------------------------------------------- redaction

@@ -222,18 +222,35 @@ def _events_lake(sf_dir: str) -> JobConfig:
     return _derived_lake(sf_dir, "events", _WHOLE_LOG)
 
 
+class _push_shuffle:
+    """Context manager selecting the push-based sort shuffle for every
+    Dataset CREATED inside the block (Ray snapshots the DataContext into a
+    Dataset's plan at creation — setting the strategy after building the
+    pipeline is a silent no-op).  Measured ~5x on a groupby exchange
+    (12.6s vs 61-88s, 20M events, 32 CPUs)."""
+
+    def __enter__(self):
+        from ray.data.context import DataContext, ShuffleStrategy
+        self.ctx = DataContext.get_current()
+        self.prev = self.ctx.shuffle_strategy
+        self.ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+
+    def __exit__(self, *exc):
+        self.ctx.shuffle_strategy = self.prev
+        return False
+
+
 def _push_heavy(fn):
     """Decorator: build the query's Dataset graph under the push-based
-    sort-shuffle context (replay._push_shuffle).  Applied ONLY to queries
+    sort-shuffle context (``_push_shuffle``).  Applied ONLY to queries
     whose exchange moves full-table payloads (large-large joins, the
     changefeed outer join, transcript assembly) — push-based is measured
     ~25% faster there but SLOWER for the tiny partial-aggregate exchanges
-    most other queries ship (see replay.py for the measurement)."""
+    most other queries ship."""
     import functools
 
     @functools.wraps(fn)
     def wrapped(*a, **k):
-        from migration_pair_ray.pipelines.replay import _push_shuffle
         with _push_shuffle():
             return fn(*a, **k)
     return wrapped
@@ -1385,13 +1402,12 @@ def doc_exact_dedup(sf_dir: str):
 
 
 def doc_langid(sf_dir: str):
-    """Heuristic n-gram language ID (actor pool, vectorized substring
-    counts) — oracle-backed by a FROZEN SQL mirror of the scoring rule."""
-    from migration_pair_ray.functions.text import LangId
+    """Heuristic n-gram language ID (vectorized substring counts) —
+    oracle-backed by a FROZEN SQL mirror of the scoring rule."""
+    from migration_pair_ray.functions.text import lang_id
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "lang"])
-    return (ds.map_batches(LangId, batch_format="pyarrow",
-                           concurrency=(2, 8), num_cpus=1)
+    return (ds.map_batches(lang_id, batch_format="pyarrow")
             .select_columns(["doc_id", "lang", "lang_pred"]).sort("doc_id"))
 
 
@@ -1655,17 +1671,17 @@ def media_byte_stats_q(sf_dir: str):
 
 
 def media_frame_stats(sf_dir: str):
-    """FrameSampler plumbing under the gate: each payload fans out to 4
+    """sample_frames plumbing under the gate: each payload fans out to 4
     frame rows (flat-map shape); the stub sampler's byte accounting is
     exactly mirrorable in SQL (frames 0-2 are len//4 bytes, frame 3 the
     remainder slice), so the fan-out, ordering and slicing are
     value-checked, not just executed."""
     from migration_pair_ray.stages.multimodal import (
-        FrameSampler, fake_payload_from_text)
+        fake_payload_from_text, sample_frames)
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     media = ds.map_batches(fake_payload_from_text, batch_format="pyarrow")
-    frames = media.map_batches(FrameSampler, batch_format="pyarrow",
-                               batch_size=128, concurrency=2, num_cpus=1)
+    frames = media.map_batches(sample_frames, batch_format="pyarrow",
+                               batch_size=128)
     out = frames.map_batches(
         lambda t: pa.table({
             "media_id": t.column("media_id"),
@@ -1792,18 +1808,18 @@ def events_value_stats(sf_dir: str):
 
 
 def media_features(sf_dir: str):
-    """The multimodal actor-pool feature extraction pipeline (stubbed
+    """The multimodal feature extraction pipeline (stubbed
     deterministic decode) — text → binary payload → per-payload feature
     vector; small batch_size per the large-binary discipline.  HARD
     oracle: the stub decode is sha256-derived, which DuckDB can mirror
     bit-exactly (sha256() + hex-digit arithmetic), so the digest below is
     value-checked, not rows-only."""
     from migration_pair_ray.stages.multimodal import (
-        MediaFeatureExtractor, fake_payload_from_text)
+        extract_features, fake_payload_from_text)
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     media = ds.map_batches(fake_payload_from_text, batch_format="pyarrow")
-    feats = media.map_batches(MediaFeatureExtractor, batch_format="pyarrow",
-                              batch_size=128, concurrency=2, num_cpus=1)
+    feats = media.map_batches(extract_features, batch_format="pyarrow",
+                              batch_size=128)
 
     def digest(t: pa.Table) -> pa.Table:
         # scalar digest of the feature vector (list columns don't survive
@@ -1905,15 +1921,15 @@ def doc_pack_bins(sf_dir: str, budget: int = 2048):
 
 def corpus_curation(sf_dir: str, checkpoint: str = "disk"):
     """Training-corpus curation as ONE composed streaming pipeline —
-    language-ID (actor pool) → quality gate (n_tokens ≥ 25) → exact
+    language-ID → quality gate (n_tokens ≥ 25) → exact
     dedup → MinHash-LSH near-dedup → per-language corpus stats.  Every
     stage is the library operator; nothing is re-implemented for the
     query, so the oracle checks the operators *composed*, not just in
     isolation."""
-    from migration_pair_ray.functions.text import LangId, add_token_count
+    from migration_pair_ray.functions.text import add_token_count, lang_id
     from migration_pair_ray.stages.dedup import exact_dedup, minhash_lsh_dedup
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    ds = ds.map_batches(LangId, batch_format="pyarrow", concurrency=(2, 8), num_cpus=1)
+    ds = ds.map_batches(lang_id, batch_format="pyarrow")
     ds = ds.map_batches(add_token_count, batch_format="pyarrow")
     ds = ds.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("n_tokens"), 25)),

@@ -273,24 +273,6 @@ def _pinned_state_bytes(cfg: JobConfig) -> int:
     return sum(read_footer(p)[1] for p in paths)
 
 
-class _push_shuffle:
-    """Context manager selecting the push-based sort shuffle for every
-    Dataset CREATED inside the block (Ray snapshots the DataContext into a
-    Dataset's plan at creation — setting the strategy after building the
-    pipeline is a silent no-op).  Measured ~5x on a groupby exchange
-    (12.6s vs 61-88s, 20M events, 32 CPUs); ``queries._push_heavy``."""
-
-    def __enter__(self):
-        from ray.data.context import DataContext, ShuffleStrategy
-        self.ctx = DataContext.get_current()
-        self.prev = self.ctx.shuffle_strategy
-        self.ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-
-    def __exit__(self, *exc):
-        self.ctx.shuffle_strategy = self.prev
-        return False
-
-
 def _write_lineage(cfg: JobConfig, pass_id: str, lineage: pa.Table) -> None:
     d = Path(cfg.lineage_dir)
     d.mkdir(parents=True, exist_ok=True)

@@ -56,19 +56,15 @@ def unified_schema(files: list[str]) -> pa.Schema:
     return unify_change_schemas([pq.read_schema(f) for f in files])
 
 
-def read_changes(files: list[str], schema: pa.Schema,
-                 batch_size: int | None = None) -> "ray.data.Dataset":
+def read_changes(files: list[str], schema: pa.Schema) -> "ray.data.Dataset":
     """Streaming Dataset over the change files, normalized to ``schema``.
 
     Files are read in per-file groups (Ray splits row groups into blocks);
     the normalize ``map_batches`` conforms every batch by name so blocks
-    from pre-evolution files gain typed-null ``tool`` columns.
-
-    ``batch_size=None`` (default) processes whole blocks zero-copy —
-    forcing a specific batch size makes Ray re-slice and copy every block
-    (measured 3-4x slower on the map stages).
+    from pre-evolution files gain typed-null ``tool`` columns.  Whole
+    blocks go through zero-copy: forcing a batch size makes Ray re-slice
+    and copy every block (measured 3-4x slower on the map stages).
     """
     ds = ray.data.read_parquet(files, file_extensions=None)
-    return ds.map_batches(
-        make_normalizer(schema), batch_format="pyarrow", batch_size=batch_size
-    )
+    return ds.map_batches(make_normalizer(schema), batch_format="pyarrow",
+                          batch_size=None)

@@ -120,48 +120,41 @@ def benchmark_gram_store(bench: rd.Dataset, text_col: str = "text",
     return ray.put({"hashes": hashes, "strings": frozenset(parts["g"])})
 
 
-class Decontaminator:
-    """Actor-pool stage: count each document's distinct word n-grams that
-    appear in the benchmark store (0 ⇒ clean).
+def flag_contaminated(t: pa.Table, store_ref, n: int = 8,
+                      text_col: str = "text", id_col: str = "doc_id",
+                      passthrough: bool = False) -> pa.Table:
+    """Count each document's distinct word n-grams that appear in the
+    benchmark store (0 ⇒ clean).
 
     Hash semi-join first (``np.isin`` against the sorted broadcast hash
     array — vectorized over every gram in the batch), then EXACT string
     verification of the few candidate docs only, so a 64-bit hash
     collision can never flag a clean doc (and a real overlap can never be
-    missed — equal strings hash equal).  The store is fetched once per
-    actor (ST1 discipline, `Tasks/MigrationTask.cs:29-60` analog).
+    missed — equal strings hash equal).  The store is fetched from the
+    object store once per batch.
     """
-
-    def __init__(self, store_ref, n: int = 8, text_col: str = "text",
-                 id_col: str = "doc_id", passthrough: bool = False):
-        store = ray.get(store_ref)
-        self.hashes = store["hashes"]
-        self.strings = store["strings"]
-        self.n, self.text_col, self.id_col = n, text_col, id_col
-        self.passthrough = passthrough
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        flat, offs = word_lists(t.column(self.text_col))
-        h, doc_of, pos = word_gram_hashes(flat, offs, self.n)
-        n_hit = np.zeros(t.num_rows, dtype=np.int64)
-        hit = np.isin(h, self.hashes)
-        if hit.any():
-            toks = np.asarray(flat.to_pandas(), dtype=object)
-            for d in np.unique(doc_of[hit]):     # candidates only
-                sel = pos[doc_of == d]
-                gs = {" ".join(toks[p:p + self.n]) for p in sel}
-                n_hit[d] = len(gs & self.strings)
-        flags = (pa.array(n_hit, pa.int64()), pa.array(n_hit > 0, pa.bool_()))
-        if self.passthrough:     # keep input columns (for composed gates)
-            return (t.append_column("n_hit", flags[0])
-                    .append_column("contaminated", flags[1]))
-        return pa.table({self.id_col: t.column(self.id_col),
-                         "n_hit": flags[0], "contaminated": flags[1]})
+    store = ray.get(store_ref)
+    flat, offs = word_lists(t.column(text_col))
+    h, doc_of, pos = word_gram_hashes(flat, offs, n)
+    n_hit = np.zeros(t.num_rows, dtype=np.int64)
+    hit = np.isin(h, store["hashes"])
+    if hit.any():
+        toks = np.asarray(flat.to_pandas(), dtype=object)
+        for d in np.unique(doc_of[hit]):     # candidates only
+            sel = pos[doc_of == d]
+            gs = {" ".join(toks[p:p + n]) for p in sel}
+            n_hit[d] = len(gs & store["strings"])
+    flags = (pa.array(n_hit, pa.int64()), pa.array(n_hit > 0, pa.bool_()))
+    if passthrough:     # keep input columns (for composed gates)
+        return (t.append_column("n_hit", flags[0])
+                .append_column("contaminated", flags[1]))
+    return pa.table({id_col: t.column(id_col),
+                     "n_hit": flags[0], "contaminated": flags[1]})
 
 
 def decontaminate(docs: rd.Dataset, bench: rd.Dataset, n: int = 8,
                   text_col: str = "text", id_col: str = "doc_id",
-                  concurrency=(2, 8), passthrough: bool = False) -> rd.Dataset:
+                  passthrough: bool = False) -> rd.Dataset:
     """Benchmark decontamination: (id, n_hit, contaminated) per corpus doc
     (``passthrough=True`` appends the flags to the input columns instead).
 
@@ -171,10 +164,10 @@ def decontaminate(docs: rd.Dataset, bench: rd.Dataset, n: int = 8,
     object store — an eval set is small by design."""
     store = benchmark_gram_store(bench, text_col=text_col, n=n)
     return docs.map_batches(
-        Decontaminator, fn_constructor_kwargs=dict(
+        flag_contaminated, fn_kwargs=dict(
             store_ref=store, n=n, text_col=text_col, id_col=id_col,
             passthrough=passthrough),
-        batch_format="pyarrow", concurrency=concurrency)
+        batch_format="pyarrow")
 
 
 # ----------------------------------------------------------------- chunker

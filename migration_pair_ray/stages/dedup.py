@@ -2,8 +2,8 @@
 
 Five flavors, each built from the same scale skeleton:
 
-    vectorized per-batch fingerprinting (map_batches, actor pool when the
-    hasher holds state) → shuffle ONLY the small fingerprint/candidate rows
+    vectorized per-batch fingerprinting (map_batches tasks; a hasher's
+    state is a worker-local cache) → shuffle ONLY the small fingerprint/candidate rows
     (never the full text twice) → per-bucket verification → connected
     components by iterative min-label propagation (each round = one groupby)
     → winners keep the minimum doc id.

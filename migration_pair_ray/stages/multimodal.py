@@ -4,8 +4,13 @@ columns with typed metadata.
 The decode kernels themselves are STUBBED (PIL/ffmpeg/torchaudio are not in
 this container): ``decode=`` accepts a callable so a real decoder drops in
 unchanged; the default deterministic fake derives "features" from the raw
-bytes so the Ray-side plumbing — schema, actor-pool stage shape, batch
+bytes so the Ray-side plumbing — schema, per-batch stage functions, batch
 sizing for large payloads, output layout — is real and tested.
+
+Each stage is a plain batch function for ``map_batches`` (Ray Data's
+task strategy: nothing outlives the query).  Pass a SMALL ``batch_size``
+(tens to a hundred rows): a batch holds that many binary payloads, and
+their decoded or re-encoded copies, in memory at once.
 """
 
 from __future__ import annotations
@@ -48,31 +53,23 @@ def _default_fake_decode(payload: bytes, media_type: str) -> np.ndarray:
             / np.float32(2**32))
 
 
-class MediaFeatureExtractor:
-    """Actor-pool stage (``map_batches(MediaFeatureExtractor, concurrency=N,
-    batch_size=small)``): decode + featurize binary payloads.
-
-    Actor state (a real model / codec context) loads once in ``__init__``.
-    Large payloads ⇒ pass a SMALL ``batch_size`` (tens of rows) so
-    batch × concurrency fits worker heaps; blocks of binary columns stay
-    in Arrow end-to-end (no pandas object dtype round trip).
+def extract_features(batch: pa.Table, decode=_default_fake_decode
+                     ) -> pa.Table:
+    """Decode + featurize binary payloads: one row per payload with its
+    byte length and ``decode``'s feature vector.  ``decode(payload,
+    media_type)`` is where a real decoder drops in; blocks of binary
+    columns stay in Arrow end-to-end (no pandas object dtype round trip).
     """
-
-    def __init__(self, decode=None):
-        self.decode = decode or _default_fake_decode  # model load goes here
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        types = batch.column("media_type").to_pylist()
-        feats = [self.decode(p or b"", t) for p, t in zip(payloads, types)]
-        n_bytes = [len(p or b"") for p in payloads]
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "media_type": batch.column("media_type"),
-            "n_bytes": pa.array(n_bytes, pa.int64()),
-            "features": pa.array([f.tolist() for f in feats],
-                                 pa.list_(pa.float32())),
-        })
+    payloads = batch.column("payload").to_pylist()
+    types = batch.column("media_type").to_pylist()
+    feats = [decode(p or b"", t) for p, t in zip(payloads, types)]
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "media_type": batch.column("media_type"),
+        "n_bytes": pa.array([len(p or b"") for p in payloads], pa.int64()),
+        "features": pa.array([f.tolist() for f in feats],
+                             pa.list_(pa.float32())),
+    })
 
 
 def _default_fake_resize(payload: bytes, media_type: str,
@@ -90,69 +87,55 @@ def _default_fake_resize(payload: bytes, media_type: str,
     return bytes(out[:n_out])
 
 
-class MediaResizer:
-    """Actor-pool stage: re-encode payloads at a target size.  One row in,
-    one row out; ``meta`` gains the target dimensions.  A real codec
-    context loads once per actor in ``__init__``; payloads stay binary
-    Arrow end-to-end.  Use a SMALL batch_size — output batches hold
-    ``batch_size`` re-encoded blobs in memory at once."""
-
-    def __init__(self, width: int = 256, height: int = 256, resize=None):
-        self.width, self.height = width, height
-        self.resize = resize or _default_fake_resize   # codec init goes here
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        types = batch.column("media_type").to_pylist()
-        out = [self.resize(p or b"", t, self.width, self.height)
-               for p, t in zip(payloads, types)]
-        metas = ['{"w": %d, "h": %d}' % (self.width, self.height)] * len(out)
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "payload": pa.array(out, pa.binary()),
-            "media_type": batch.column("media_type"),
-            "meta": pa.array(metas, pa.string()),
-        })
+def resize_media(batch: pa.Table, width: int = 256, height: int = 256,
+                 resize=_default_fake_resize) -> pa.Table:
+    """Re-encode payloads at a target size.  One row in, one row out;
+    ``meta`` gains the target dimensions; payloads stay binary Arrow
+    end-to-end."""
+    payloads = batch.column("payload").to_pylist()
+    types = batch.column("media_type").to_pylist()
+    out = [resize(p or b"", t, width, height) for p, t in zip(payloads, types)]
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "payload": pa.array(out, pa.binary()),
+        "media_type": batch.column("media_type"),
+        "meta": pa.array(['{"w": %d, "h": %d}' % (width, height)] * len(out),
+                         pa.string()),
+    })
 
 
-class FrameSampler:
-    """Actor-pool stage: sample ``n_frames`` frames per video payload —
-    one input row fans out to ``n_frames`` image rows (flat-map shape, so
-    run it via ``map_batches``: Arrow tables may change row count).
+def _default_fake_sample(payload: bytes, n_frames: int) -> list[bytes]:
+    """STUB frame sampler: the payload is split into ``n_frames`` byte
+    ranges standing in for decoded frames (a real one seeks/decodes with
+    ffmpeg)."""
+    if not payload:
+        return [b""] * n_frames
+    step = max(1, len(payload) // n_frames)
+    return [payload[i * step:(i + 1) * step] or payload[-step:]
+            for i in range(n_frames)]
 
-    STUB kernel: the payload is split into byte ranges standing in for
-    decoded frames; a real implementation seeks/decodes with ffmpeg in
-    ``__init__``-held codec state.  Output rows are ordered
-    (media_id, frame_idx) within each batch — deterministic regardless of
-    input batching."""
 
-    def __init__(self, n_frames: int = 4, sample=None):
-        self.n_frames = n_frames
-        self.sample = sample or self._default_fake_sample
-
-    @staticmethod
-    def _default_fake_sample(payload: bytes, n_frames: int) -> list[bytes]:
-        if not payload:
-            return [b""] * n_frames
-        step = max(1, len(payload) // n_frames)
-        return [payload[i * step:(i + 1) * step] or payload[-step:]
-                for i in range(n_frames)]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        out_ids, out_idx, out_frames = [], [], []
-        for mid, p in zip(ids, payloads):
-            frames = self.sample(p or b"", self.n_frames)
-            out_ids.extend([mid] * len(frames))
-            out_idx.extend(range(len(frames)))
-            out_frames.extend(frames)
-        return pa.table({
-            "media_id": pa.array(out_ids, pa.int64()),
-            "frame_idx": pa.array(out_idx, pa.int32()),
-            "payload": pa.array(out_frames, pa.binary()),
-            "media_type": pa.array(["image"] * len(out_ids), pa.string()),
-        })
+def sample_frames(batch: pa.Table, n_frames: int = 4,
+                  sample=_default_fake_sample) -> pa.Table:
+    """Sample ``n_frames`` frames per video payload — one input row fans
+    out to ``n_frames`` image rows (flat-map shape, so run it via
+    ``map_batches``: Arrow tables may change row count).  Output rows are
+    ordered (media_id, frame_idx) within each batch — deterministic
+    regardless of input batching."""
+    ids = batch.column("media_id").to_pylist()
+    payloads = batch.column("payload").to_pylist()
+    out_ids, out_idx, out_frames = [], [], []
+    for mid, p in zip(ids, payloads):
+        frames = sample(p or b"", n_frames)
+        out_ids.extend([mid] * len(frames))
+        out_idx.extend(range(len(frames)))
+        out_frames.extend(frames)
+    return pa.table({
+        "media_id": pa.array(out_ids, pa.int64()),
+        "frame_idx": pa.array(out_idx, pa.int32()),
+        "payload": pa.array(out_frames, pa.binary()),
+        "media_type": pa.array(["image"] * len(out_ids), pa.string()),
+    })
 
 
 def media_byte_stats(batch: pa.Table) -> pa.Table:

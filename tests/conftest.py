@@ -39,3 +39,22 @@ def distributed_reads(monkeypatch):
     patches its one predicate, which reads and passes share."""
     from migration_pair_ray.pipelines import replay
     monkeypatch.setattr(replay, "read_in_driver", lambda nbytes: False)
+
+
+@pytest.fixture()
+def cpus_back():
+    """``cpus_back(before, timeout_s=2.0)`` polls Ray's free logical CPUs
+    until they reach ``before`` or ``timeout_s`` ends, and returns the
+    last count: a pass or query that gave back every CPU it took returns
+    at least ``before``."""
+    import time
+    import ray
+
+    def wait(before: float, timeout_s: float = 2.0) -> float:
+        deadline = time.monotonic() + timeout_s
+        while True:
+            free = ray.available_resources().get("CPU", 0.0)
+            if free >= before or time.monotonic() > deadline:
+                return free
+            time.sleep(0.05)
+    return wait

@@ -123,36 +123,25 @@ def test_applier_midtask_retry_bit_identical(tmp_lake, tmp_path):
     assert _state_hashes(lake) == _state_hashes(lake2)
 
 
-def _cpus_back(before: float, timeout_s: float = 2.0) -> float:
-    """Logical CPUs free once they reach ``before`` or ``timeout_s`` ends."""
-    import time
-    import ray
-    deadline = time.monotonic() + timeout_s
-    while True:
-        free = ray.available_resources().get("CPU", 0.0)
-        if free >= before or time.monotonic() > deadline:
-            return free
-        time.sleep(0.05)
-
-
 @pytest.mark.usefixtures("ray_session")
-def test_passes_release_their_cpus(tmp_lake, tmp_path):
+def test_passes_release_their_cpus(tmp_lake, tmp_path, cpus_back):
     """Back-to-back passes (no gc.collect between them, as the tail loop
     runs them) give every logical CPU they took back when they return:
     a merge stage still holding CPUs after a pass stalls the next one.
     These passes fit one block, so they run on the driver executor;
     ``repartition_lake`` always runs on Ray tasks."""
-    _passes_release_their_cpus(tmp_lake, tmp_path, "driver")
+    _passes_release_their_cpus(tmp_lake, tmp_path, cpus_back, "driver")
 
 
 @pytest.mark.usefixtures("ray_session", "distributed_reads")
-def test_passes_release_their_cpus_distributed(tmp_lake, tmp_path):
+def test_passes_release_their_cpus_distributed(tmp_lake, tmp_path,
+                                               cpus_back):
     """The same passes on the task executor, whose route and merge
     stages run in Ray tasks."""
-    _passes_release_their_cpus(tmp_lake, tmp_path, "ray_data")
+    _passes_release_their_cpus(tmp_lake, tmp_path, cpus_back, "ray_data")
 
 
-def _passes_release_their_cpus(tmp_lake, tmp_path, executor: str):
+def _passes_release_their_cpus(tmp_lake, tmp_path, cpus_back, executor: str):
     import dataclasses
     import ray
     from migration_pair_ray.pipelines.replay import repartition_lake
@@ -169,13 +158,13 @@ def _passes_release_their_cpus(tmp_lake, tmp_path, executor: str):
                    / f"batch-{i:05d}-{src.name.split('-', 2)[2]}")
         before = ray.available_resources().get("CPU", 0.0)
         assert replay(cfg)["files"] == 1
-        assert _cpus_back(before) >= before, f"pass {i} kept CPUs"
+        assert cpus_back(before) >= before, f"pass {i} kept CPUs"
     from migration_pair_ray.tasks import task_history
     assert {p["executor"] for p in task_history(cfg)["passes"]} == {executor}
     before = ray.available_resources().get("CPU", 0.0)
     repartition_lake(cfg, dataclasses.replace(
         cfg, lake_dir=str(tmp_path / "lake4"), num_partitions=4))
-    assert _cpus_back(before) >= before, "repartition_lake kept CPUs"
+    assert cpus_back(before) >= before, "repartition_lake kept CPUs"
 
 
 @pytest.mark.usefixtures("ray_session")

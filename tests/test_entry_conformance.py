@@ -96,6 +96,25 @@ def test_query_vs_oracle(name, con, ray_session):
                                   rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", [
+    "doc_langid", "corpus_curation", "media_features", "media_frame_stats",
+    "doc_decontaminate", "training_prep"])
+def test_query_releases_its_cpus(name, ray_session, cpus_back):
+    """A query with a per-batch stage gives back every CPU it took once
+    its result is consumed, with the cyclic GC off: nothing may wait for
+    a collection to free a stage's workers."""
+    import gc
+    import ray
+    before = ray.available_resources().get("CPU", 0.0)
+    gc.disable()
+    try:
+        to_df(entry_mod.queries()[name](SF))
+        free = cpus_back(before)
+    finally:
+        gc.enable()
+    assert free >= before, f"{name} kept {before - free:g} CPUs"
+
+
 def test_entry_smoke(ray_session):
     ds = entry_mod.entry()
     df = to_df(ds)

@@ -1,5 +1,5 @@
-"""Multimodal plumbing tests: binary payload schema, actor-pool feature
-extraction (stubbed decode), byte stats."""
+"""Multimodal plumbing tests: binary payload schema, feature extraction
+(stubbed decode), resize and frame sampling, byte stats."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,7 +10,7 @@ import ray.data
 
 from migration_pair_ray.stages.multimodal import (
     MEDIA_SCHEMA,
-    MediaFeatureExtractor,
+    extract_features,
     fake_payload_from_text,
     media_byte_stats,
 )
@@ -25,11 +25,10 @@ def test_fake_payload_schema():
     assert media.column("payload")[0].as_py() == docs.column("text")[0].as_py().encode()
 
 
-def test_extractor_class_smoke_and_determinism():
+def test_extract_features_determinism():
     docs = pq.read_table(f"{SF}/documents.parquet").slice(0, 10)
     media = fake_payload_from_text(docs)
-    stage = MediaFeatureExtractor()       # smoke __init__ directly
-    out1, out2 = stage(media), stage(media)
+    out1, out2 = extract_features(media), extract_features(media)
     assert out1.equals(out2)
     f = np.asarray(out1.column("features")[0].as_py())
     assert f.shape == (8,) and ((0 <= f) & (f <= 1)).all()
@@ -39,9 +38,9 @@ def test_extractor_class_smoke_and_determinism():
 def test_media_pipeline_end_to_end():
     ds = ray.data.read_parquet(f"{SF}/documents.parquet")
     media = ds.map_batches(fake_payload_from_text, batch_format="pyarrow")
-    # actor pool, small batches (large-binary sizing discipline)
-    feats = media.map_batches(MediaFeatureExtractor, batch_format="pyarrow",
-                              batch_size=64, concurrency=2, num_cpus=1)
+    # small batches (large-binary sizing discipline)
+    feats = media.map_batches(extract_features, batch_format="pyarrow",
+                              batch_size=64)
     out = feats.to_pandas()
     assert len(out) == ds.count()
     assert set(out.columns) == {"media_id", "media_type", "n_bytes", "features"}
@@ -55,12 +54,12 @@ def test_media_pipeline_end_to_end():
 
 @pytest.mark.usefixtures("ray_session")
 def test_resize_and_frame_sample_stages():
-    """Actor-pool resize (1:1) and frame-sample (1:n fan-out) plumbing:
+    """Resize (1:1) and frame-sample (1:n fan-out) plumbing:
     deterministic output across batch layouts, sizes as promised."""
     import json
     import ray.data as rd
     from migration_pair_ray.stages.multimodal import (
-        FrameSampler, MediaResizer, fake_payload_from_text)
+        fake_payload_from_text, resize_media, sample_frames)
 
     docs = pa.table({
         "doc_id": pa.array(range(20), pa.int64()),
@@ -69,17 +68,15 @@ def test_resize_and_frame_sample_stages():
     media = rd.from_arrow(docs).map_batches(
         fake_payload_from_text, batch_format="pyarrow")
 
-    resized = media.map_batches(MediaResizer, batch_format="pyarrow", batch_size=4,
-                                fn_constructor_kwargs={"width": 64, "height": 64},
-                                concurrency=2, num_cpus=1).take_all()
+    resized = media.map_batches(resize_media, batch_format="pyarrow", batch_size=4,
+                                fn_kwargs={"width": 64, "height": 64}).take_all()
     assert len(resized) == 20
     for r in resized:
         assert len(r["payload"]) == 64 * 64 // 64
         assert json.loads(r["meta"]) == {"w": 64, "h": 64}
 
-    frames = media.map_batches(FrameSampler, batch_format="pyarrow", batch_size=4,
-                               fn_constructor_kwargs={"n_frames": 3},
-                               concurrency=2, num_cpus=1).take_all()
+    frames = media.map_batches(sample_frames, batch_format="pyarrow", batch_size=4,
+                               fn_kwargs={"n_frames": 3}).take_all()
     assert len(frames) == 60      # 1:n fan-out
     per_id = {}
     for f in frames:
@@ -87,8 +84,7 @@ def test_resize_and_frame_sample_stages():
     assert all(sorted(v) == [0, 1, 2] for v in per_id.values())
 
     # determinism across batch layouts
-    frames2 = media.map_batches(FrameSampler, batch_format="pyarrow", batch_size=20,
-                                fn_constructor_kwargs={"n_frames": 3},
-                                concurrency=1, num_cpus=1).take_all()
+    frames2 = media.map_batches(sample_frames, batch_format="pyarrow", batch_size=20,
+                                fn_kwargs={"n_frames": 3}).take_all()
     key = lambda r: (r["media_id"], r["frame_idx"])
     assert sorted(frames, key=key) == sorted(frames2, key=key)

@@ -154,7 +154,6 @@ def test_conv_transcripts_salted_fallback_builds_under_push_shuffle(
     from ray.data.context import DataContext, ShuffleStrategy
 
     from migration_pair_ray.pipelines import queries
-    from migration_pair_ray.pipelines import replay as replay_mod
     from migration_pair_ray.stages import analytic
     log, lake = tmp_lake
     generate_change_log(log, n_events=300, n_convs=5, n_files=1, seed=3)
@@ -165,12 +164,12 @@ def test_conv_transcripts_salted_fallback_builds_under_push_shuffle(
 
     entered, strategies = [], []
 
-    class Recording(replay_mod._push_shuffle):
+    class Recording(queries._push_shuffle):
         def __enter__(self):
             entered.append(True)
             return super().__enter__()
 
-    monkeypatch.setattr(replay_mod, "_push_shuffle", Recording)
+    monkeypatch.setattr(queries, "_push_shuffle", Recording)
     agg = analytic.grouped_string_agg
 
     def recording_agg(*a, **kw):

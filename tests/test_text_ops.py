@@ -10,8 +10,8 @@ import pytest
 import ray.data
 
 from migration_pair_ray.functions.text import (
-    LangId,
     add_token_count,
+    lang_id,
     md5_fingerprint,
     quality_features,
 )
@@ -54,10 +54,8 @@ def test_md5_fingerprint_matches_duckdb(docs_table):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_langid_actor_stage_smoke(docs_table):
-    # smoke the class directly (actor __init__ failures surface late in Ray)
-    stage = LangId()
-    out = stage(docs_table.slice(0, 100))
+def test_langid_smoke(docs_table):
+    out = lang_id(docs_table.slice(0, 100))
     preds = out.column("lang_pred").to_pylist()
     assert len(preds) == 100 and all(isinstance(p, str) for p in preds)
     # the corpus is synthetic word-salad, so accuracy is not asserted —
