@@ -35,13 +35,15 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
+import ray
 
 from migration_pair_ray.config import JobConfig
+from migration_pair_ray.pipelines.replay import remote_call
 from migration_pair_ray.state.manifest import (
     LakeLayoutError,
     LakeMeta,
     ManifestStore,
+    content_hash,
 )
 
 
@@ -86,6 +88,30 @@ def _gc_inactive_manifests(cfg: JobConfig, store: ManifestStore,
         store.delete(pid)
         swept += 1
     return swept
+
+
+def _write_relayout_state(cfg: JobConfig, pid: int, pass_id: str,
+                          state: pa.Table) -> dict:
+    """Write ``state`` (key-sorted) as partition ``pid``'s single state
+    file of a split or unsplit; returns the manifest record's core."""
+    from migration_pair_ray.stages.applier import write_state_parquet
+    d = Path(cfg.lake_dir) / f"part={pid:05d}"
+    d.mkdir(parents=True, exist_ok=True)
+    path = str(d / f"state-{pass_id}.parquet")
+    write_state_parquet(state, path)
+    lsn = state.column("lsn") if state.num_rows else None
+    return {
+        "partition": pid,
+        "pass_id": pass_id,
+        "data_file": str(Path(path).relative_to(cfg.lake_dir)),
+        "row_count": state.num_rows,
+        "tombstones": int(pc.sum(pc.cast(
+            pc.equal(state.column("op"), "D"), pa.int64())).as_py() or 0)
+            if state.num_rows else 0,
+        "lsn_lo": int(pc.min(lsn).as_py()) if lsn is not None else 0,
+        "lsn_hi": int(pc.max(lsn).as_py()) if lsn is not None else 0,
+        "content_hash": content_hash(path, cfg.hash_state),
+    }
 
 
 def split_partition(cfg: JobConfig, base_pid: int, fanout: int = 2) -> dict:
@@ -166,7 +192,6 @@ def _split_partition_locked(cfg: JobConfig, base_pid: int,
 
     if tables:
         from migration_pair_ray.functions.lww import _SORT_KEYS
-        from migration_pair_ray.stages.applier import write_state_parquet
         from migration_pair_ray.stages.partition import partition_ids
 
         state = (tables[0] if len(tables) == 1
@@ -188,25 +213,9 @@ def _split_partition_locked(cfg: JobConfig, base_pid: int,
             sub = sub.sort_by(_SORT_KEYS)
             if store.is_applied(cid, pass_id):
                 continue               # crash-resume: child already committed
-            d = Path(cfg.lake_dir) / f"part={cid:05d}"
-            d.mkdir(parents=True, exist_ok=True)
-            path = str(d / f"state-{pass_id}.parquet")
-            nbytes = write_state_parquet(sub, path)
-            lsn = sub.column("lsn") if sub.num_rows else None
-            store.commit(cid, {
-                "partition": cid,
-                "pass_id": pass_id,
-                "data_file": str(Path(path).relative_to(cfg.lake_dir)),
-                "row_count": sub.num_rows,
-                "tombstones": int(pc.sum(pc.cast(
-                    pc.equal(sub.column("op"), "D"), pa.int64())).as_py() or 0)
-                    if sub.num_rows else 0,
-                "lsn_lo": int(pc.min(lsn).as_py()) if lsn is not None else 0,
-                "lsn_hi": int(pc.max(lsn).as_py()) if lsn is not None else 0,
-                "content_hash": "",
-                "split_of": base_pid,
-                "pass_seq": pass_seq,
-            })
+            store.commit(cid, dict(_write_relayout_state(cfg, cid, pass_id,
+                                                         sub),
+                                   split_of=base_pid, pass_seq=pass_seq))
 
     # THE commit point: routing + enumeration flip to the children here
     meta.record_split(base_pid, fanout, new_gen)
@@ -258,8 +267,7 @@ def _merge_partition_locked(cfg: JobConfig, base_pid: int) -> dict:
     child_ids = [LakeMeta.child_id(p, base_pid, c, gen) for c in range(fanout)]
 
     from migration_pair_ray.functions.lww import _SORT_KEYS
-    from migration_pair_ray.stages.applier import (
-        read_state_table, write_state_parquet)
+    from migration_pair_ray.stages.applier import read_state_table
     store = ManifestStore(cfg.manifest_dir)
     kernel = meta.merge_kernel()
     tables, src_sig = [], []
@@ -286,26 +294,9 @@ def _merge_partition_locked(cfg: JobConfig, base_pid: int) -> dict:
         # interleave under the quotient routing — restore key order
         state = state.sort_by(_SORT_KEYS)
         rows_total = state.num_rows
-        d = Path(cfg.lake_dir) / f"part={base_pid:05d}"
-        d.mkdir(parents=True, exist_ok=True)
-        path = str(d / f"state-{pass_id}.parquet")
-        write_state_parquet(state, path)
-        lsn = state.column("lsn") if state.num_rows else None
-        store.commit(base_pid, {
-            "partition": base_pid,
-            "pass_id": pass_id,
-            "data_file": str(Path(path).relative_to(cfg.lake_dir)),
-            "row_count": state.num_rows,
-            "tombstones": int(pc.sum(pc.cast(
-                pc.equal(state.column("op"), "D"), pa.int64())).as_py() or 0)
-                if state.num_rows else 0,
-            "lsn_lo": int(pc.min(lsn).as_py()) if lsn is not None else 0,
-            "lsn_hi": int(pc.max(lsn).as_py()) if lsn is not None else 0,
-            "content_hash": "",
-            "merge_of": child_ids,
-            "lineage_break": True,
-            "pass_seq": pass_seq,
-        })
+        store.commit(base_pid, dict(
+            _write_relayout_state(cfg, base_pid, pass_id, state),
+            merge_of=child_ids, lineage_break=True, pass_seq=pass_seq))
     elif tables:
         rows_total = sum(t.num_rows for t in tables)
 
@@ -573,8 +564,8 @@ def compact_deltas(cfg: JobConfig, base_pid: int | None = None) -> dict:
 def _compact_one_partition(lake_dir: str, m: dict, state_chunk_rows: int,
                            hash_state: bool, kernel: str = "row") -> dict:
     """Fold one MoR partition's base + deltas and write the new base files
-    (fsync'd, names disjoint from every live file) — the distributed part
-    of compact_deltas.  Returns the replacement manifest record; the
+    (fsync'd, names disjoint from every live file) — the per-partition
+    task of compact_deltas.  Returns the replacement manifest record; the
     driver performs the atomic rewrite + GC.  Honors the chunked layout:
     with ``state_chunk_rows > 0`` the fold re-chunks at key boundaries
     instead of collapsing into one unbounded file."""
@@ -590,16 +581,6 @@ def _compact_one_partition(lake_dir: str, m: dict, state_chunk_rows: int,
     # so a crash mid-write can never clobber a referenced file
     tag = f"{m['pass_id']}-c{len(m['delta_files'])}"
 
-    def _hash(path: str) -> str:
-        if not hash_state:
-            return ""
-        from migration_pair_ray.state.manifest import sha256_file
-        return sha256_file(path)
-
-    def _tombs(t: pa.Table) -> int:
-        return int(pc.sum(pc.cast(pc.equal(t.column("op"), "D"),
-                                  pa.int64())).as_py() or 0)
-
     rec = {k: v for k, v in m.items()
            if k not in ("data_file", "data_files", "delta_files",
                         "content_hash")}
@@ -611,7 +592,7 @@ def _compact_one_partition(lake_dir: str, m: dict, state_chunk_rows: int,
         entries = write_chunk_files(
             lake_dir, merged, state_chunk_rows,
             name_fn=lambda s: str(d / f"state-{tag}-{s:04d}.parquet"),
-            hash_file=_hash)
+            hash_state=hash_state)
         rec.update(data_files=entries,
                    row_count=sum(e["rows"] for e in entries),
                    tombstones=sum(e["tombstones"] for e in entries))
@@ -620,16 +601,15 @@ def _compact_one_partition(lake_dir: str, m: dict, state_chunk_rows: int,
         write_state_parquet(merged, path)
         rec.update(data_file=str(Path(path).relative_to(lake_dir)),
                    row_count=merged.num_rows,
-                   tombstones=_tombs(merged),
-                   content_hash=_hash(path))
+                   tombstones=int(pc.sum(pc.cast(
+                       pc.equal(merged.column("op"), "D"),
+                       pa.int64())).as_py() or 0),
+                   content_hash=content_hash(path, hash_state))
     return rec
 
 
 def _compact_deltas_locked(cfg: JobConfig, base_pid: int | None) -> dict:
-    import json as _json
-
-    import ray.data as rd
-
+    from migration_pair_ray.state.bloom import gc_partition_files
     from migration_pair_ray.state.manifest import referenced_files
     meta = LakeMeta(cfg.lake_dir)
     if meta.read() is None:
@@ -642,30 +622,17 @@ def _compact_deltas_locked(cfg: JobConfig, base_pid: int | None) -> dict:
         m = store.read(pid)
         if m and m.get("delta_files"):
             todo.append(dict(m, partition=int(pid)))
+    # fold + write in one task per partition (bounded memory); the
+    # manifest flips + GC below are tiny and serial
+    kernel = meta.merge_kernel()
+    recs = ray.get([remote_call.remote(
+        _compact_one_partition, cfg.lake_dir, m, cfg.state_chunk_rows,
+        cfg.hash_state, kernel) for m in todo])
     files_deleted = 0
-    if todo:
-        lake_dir, chunk_rows = cfg.lake_dir, cfg.state_chunk_rows
-        hash_state, kernel = cfg.hash_state, meta.merge_kernel()
-
-        def fold_batch(t: pa.Table) -> pa.Table:
-            recs = [_compact_one_partition(lake_dir, _json.loads(mj),
-                                           chunk_rows, hash_state, kernel)
-                    for mj in t.column("manifest").to_pylist()]
-            return pa.table({"rec": pa.array([_json.dumps(r) for r in recs],
-                                             pa.string())})
-
-        # fold + write distributed (one task per partition, bounded
-        # memory); the manifest flips + GC below are tiny and serial
-        recs = (rd.from_items([{"manifest": _json.dumps(m)} for m in todo])
-                .map_batches(fold_batch, batch_format="pyarrow",
-                             batch_size=1).take_all())
-        for row in recs:
-            rec = _json.loads(row["rec"])
-            pid = int(rec["partition"])
-            store.rewrite(pid, rec)                   # atomic flip
-            from migration_pair_ray.state.bloom import gc_partition_files
-            nf, _ = gc_partition_files(cfg.lake_dir, pid,
-                                       referenced_files(rec))
-            files_deleted += nf
+    for rec in recs:
+        pid = int(rec["partition"])
+        store.rewrite(pid, rec)                       # atomic flip
+        nf, _ = gc_partition_files(cfg.lake_dir, pid, referenced_files(rec))
+        files_deleted += nf
     return {"partitions_compacted": len(todo),
             "files_deleted": files_deleted}

@@ -37,8 +37,10 @@ import os
 from pathlib import Path
 
 import pyarrow as pa
+import ray
 
 from migration_pair_ray.config import JobConfig
+from migration_pair_ray.pipelines.replay import remote_call
 from migration_pair_ray.state.manifest import CheckpointStore, _atomic_write
 
 
@@ -217,6 +219,32 @@ def read_feed(cfg: JobConfig, consumer: str,
     opt-in to data loss)."""
     from migration_pair_ray.sources.changelog import read_changes, unified_schema
     from migration_pair_ray.sources.readers import driver_dataset
+    per_pass, frontier = _served_passes(cfg, consumer, missing_ok)
+    if not per_pass:
+        from migration_pair_ray.schemas import CHANGE_SCHEMA
+        empty = CHANGE_SCHEMA.empty_table().append_column(
+            "_pass_seq", pa.array([], pa.int64()))
+        return driver_dataset([empty]), frontier
+    schema = unified_schema([p for _, paths in per_pass for p in paths])
+
+    def stamp(seq: int):
+        def fn(t: pa.Table) -> pa.Table:
+            import numpy as np
+            return t.append_column(
+                "_pass_seq", pa.array(np.full(t.num_rows, seq, np.int64)))
+        return fn
+
+    parts = [read_changes(paths, schema).map_batches(
+        stamp(seq), batch_format="pyarrow") for seq, paths in per_pass]
+    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+    return ds, frontier
+
+
+def _served_passes(cfg: JobConfig, consumer: str, missing_ok: bool
+                   ) -> tuple[list[tuple[int, list[str]]], int]:
+    """([(seq, change-file paths)] of the unacked passes with events to
+    serve, frontier seq to ack) — ``read_feed``'s plan, with its refusals
+    (rollback, bulk-load and retention-lost passes)."""
     pending = pending_passes(cfg, consumer)
     frontier = (pending[-1]["seq"] if pending
                 else consumer_cursor(cfg, consumer))
@@ -251,24 +279,7 @@ def read_feed(cfg: JobConfig, consumer: str,
                     f"{_retention_note(cfg, rec['seq'])}")
         if paths:
             per_pass.append((rec["seq"], paths))
-    if not per_pass:
-        from migration_pair_ray.schemas import CHANGE_SCHEMA
-        empty = CHANGE_SCHEMA.empty_table().append_column(
-            "_pass_seq", pa.array([], pa.int64()))
-        return driver_dataset([empty]), frontier
-    schema = unified_schema([p for _, paths in per_pass for p in paths])
-
-    def stamp(seq: int):
-        def fn(t: pa.Table) -> pa.Table:
-            import numpy as np
-            return t.append_column(
-                "_pass_seq", pa.array(np.full(t.num_rows, seq, np.int64)))
-        return fn
-
-    parts = [read_changes(paths, schema).map_batches(
-        stamp(seq), batch_format="pyarrow") for seq, paths in per_pass]
-    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    return ds, frontier
+    return per_pass, frontier
 
 
 def ack_feed(cfg: JobConfig, consumer: str, through_seq: int) -> dict:
@@ -622,9 +633,8 @@ def canonical_row_hash64(t: "pa.Table") -> "np.ndarray":
     return stable_hash64(canon.to_pandas()).astype(np.uint64)
 
 
-def _digest_partition_visible(lake_dir: str, manifest_json: str,
-                              kernel: str, schema_buf: bytes,
-                              n_buckets: int) -> dict:
+def _digest_partition_visible(lake_dir: str, manifest: dict, kernel: str,
+                              schema: pa.Schema, n_buckets: int) -> dict:
     """One partition's VISIBLE rows → per-bucket (rows, hsum, hsq)
     partials, normalized to the lake-wide unified schema so the digest is
     independent of which partition a row lives in.  Returns a small dict
@@ -636,11 +646,9 @@ def _digest_partition_visible(lake_dir: str, manifest_json: str,
     from migration_pair_ray.functions.lww import finalize_visible
     from migration_pair_ray.functions.normalize import make_normalizer
     from migration_pair_ray.stages.applier import read_state_table
-    m = json.loads(manifest_json)
-    t = read_state_table(lake_dir, m, kernel=kernel)
+    t = read_state_table(lake_dir, manifest, kernel=kernel)
     if t is None or t.num_rows == 0:
         return {}
-    schema = pa.ipc.read_schema(pa.BufferReader(schema_buf))
     vis = finalize_visible(make_normalizer(schema)(t), kernel)
     if vis.num_rows == 0:
         return {}
@@ -662,13 +670,9 @@ def _lake_bucket_partials(cfg: JobConfig, n_buckets: int) -> dict:
     ``<lake>/_audit_cache.json`` keyed by its manifest fingerprint (file
     list + sizes — exact, state files are immutable CoW) and the lake's
     unified-schema fingerprint; only partitions whose state moved since
-    the last audit are re-digested (distributed).  A quiescent 100-TB
+    the last audit are re-digested, one Ray task each.  A quiescent 100-TB
     lake audits in O(changed partitions), not O(lake)."""
-    import numpy as np
-
     import pyarrow.parquet as _pq
-
-    import ray as _ray
 
     from migration_pair_ray.pipelines.index import _partition_fingerprint
     from migration_pair_ray.schemas import unify_change_schemas
@@ -685,8 +689,8 @@ def _lake_bucket_partials(cfg: JobConfig, n_buckets: int) -> dict:
                         for f in record_files(m)})
     schema = unify_change_schemas(
         [_pq.read_schema(str(Path(cfg.lake_dir) / f)) for f in all_files])
-    schema_buf = schema.serialize().to_pybytes()
-    schema_fp = hashlib.sha256(schema_buf).hexdigest()[:16]
+    schema_fp = hashlib.sha256(
+        schema.serialize().to_pybytes()).hexdigest()[:16]
 
     cache_path = Path(cfg.lake_dir) / "_audit_cache.json"
     try:
@@ -703,15 +707,11 @@ def _lake_bucket_partials(cfg: JobConfig, n_buckets: int) -> dict:
            for pid, m in manifests.items()}
     changed = [pid for pid in manifests
                if cached.get(str(pid), {}).get("fingerprint") != fps[pid]]
-    if changed:
-        fn = _ray.remote(num_cpus=1)(_digest_partition_visible)
-        fresh = _ray.get([fn.remote(cfg.lake_dir,
-                                    json.dumps(manifests[pid]), kernel,
-                                    schema_buf, n_buckets)
-                          for pid in changed])
-        for pid, partials in zip(changed, fresh):
-            cached[str(pid)] = {"fingerprint": fps[pid],
-                                "buckets": partials}
+    fresh = ray.get([remote_call.remote(
+        _digest_partition_visible, cfg.lake_dir, manifests[pid], kernel,
+        schema, n_buckets) for pid in changed])
+    for pid, partials in zip(changed, fresh):
+        cached[str(pid)] = {"fingerprint": fps[pid], "buckets": partials}
     # drop retired partitions (splits/merges) so their rows don't linger
     cached = {p: v for p, v in cached.items() if int(p) in manifests}
     _atomic_write(str(cache_path), json.dumps(
@@ -842,64 +842,69 @@ def export_jsonl(cfg: JobConfig, consumer: str, out_dir: str,
     every file landed.  Per-row ``json.dumps`` is the serialization floor
     of the JSONL wire format itself (payload extraction is C via
     ``to_pylist``); this is an edge sink, not the replay hot path."""
-    import numpy as np
-    import pyarrow.compute as pc
+    from migration_pair_ray.sources.changelog import unified_schema
 
-    from migration_pair_ray.state.manifest import _fsync_dir
-
-    ds, frontier = read_feed(cfg, consumer, missing_ok=missing_ok)
+    per_pass, frontier = _served_passes(cfg, consumer, missing_ok)
     os.makedirs(out_dir, exist_ok=True)
-
-    def write_pass(g: pa.Table) -> pa.Table:
-        empty = pa.table({"seq": pa.array([], pa.int64()),
-                          "events": pa.array([], pa.int64())})
-        if g.num_rows == 0:
-            return empty
-        seq = int(g.column("_pass_seq")[0].as_py())
-        g = g.sort_by([("lsn", "ascending")])
-        op = np.asarray(g.column("op").to_pandas(), dtype=object)
-        is_d = op == "D"
-        # P → "p" keeps patch semantics on the wire: re-ingesting an
-        # exported patch must not turn its kept-column nulls into SET NULL
-        wire_op = np.where(is_d, "d", np.where(op == "U", "u",
-                           np.where(op == "P", "p", "c")))
-        payload_cols = [c for c in g.schema.names
-                        if c not in ("op", "lsn", "ts", "_pass_seq")]
-        payload = g.select(payload_cols).to_pylist()
-        ts_us = pc.cast(pc.cast(g.column("ts"), pa.timestamp("us")),
-                        pa.int64()).to_pylist()
-        lsn = g.column("lsn").to_pylist()
-        lines = []
-        for i in range(g.num_rows):
-            u = ts_us[i]
-            lines.append(json.dumps({
-                "op": wire_op[i],
-                "before": payload[i] if is_d[i] else None,
-                "after": None if is_d[i] else payload[i],
-                "ts_ms": (u // 1000) if u is not None else None,
-                "ts_us": u,
-                "lsn": lsn[i],
-            }, default=str))
-        path = Path(out_dir) / f"feed-{seq:012d}.jsonl"
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            f.write("\n".join(lines) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(out_dir)
-        return pa.table({"seq": pa.array([seq], pa.int64()),
-                         "events": pa.array([g.num_rows], pa.int64())})
-
-    written = (ds.groupby("_pass_seq")
-               .map_groups(write_pass, batch_format="pyarrow")
-               .take_all())                    # tiny: one record per pass
-    summary = {"passes": len(written),
-               "events": int(sum(r["events"] for r in written)),
-               "frontier": frontier}
+    events = []
+    if per_pass:
+        schema = unified_schema([p for _, paths in per_pass for p in paths])
+        events = ray.get([remote_call.remote(_export_pass, paths, schema,
+                                             seq, out_dir)
+                          for seq, paths in per_pass])
+    summary = {"passes": sum(1 for n in events if n),
+               "events": sum(events), "frontier": frontier}
     if ack and frontier > consumer_cursor(cfg, consumer):
         summary["ack"] = ack_feed(cfg, consumer, frontier)
     return summary
+
+
+def _export_pass(paths: list[str], schema: pa.Schema, seq: int,
+                 out_dir: str) -> int:
+    """Write one pass's change events (``paths`` conformed to ``schema``)
+    as ``feed-<seq>.jsonl``; returns the event count (no file for 0)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from migration_pair_ray.functions.normalize import normalize_batch
+    from migration_pair_ray.sources.readers import read_parquet_file
+    from migration_pair_ray.state.manifest import _fsync_dir
+    g = pa.concat_tables([normalize_batch(read_parquet_file(p), schema)
+                          for p in paths], promote_options="permissive")
+    if g.num_rows == 0:
+        return 0
+    g = g.sort_by([("lsn", "ascending")])
+    op = np.asarray(g.column("op").to_pandas(), dtype=object)
+    is_d = op == "D"
+    # P → "p" keeps patch semantics on the wire: re-ingesting an exported
+    # patch must not turn its kept-column nulls into SET NULL
+    wire_op = np.where(is_d, "d", np.where(op == "U", "u",
+                       np.where(op == "P", "p", "c")))
+    payload_cols = [c for c in g.schema.names if c not in ("op", "lsn", "ts")]
+    payload = g.select(payload_cols).to_pylist()
+    ts_us = pc.cast(pc.cast(g.column("ts"), pa.timestamp("us")),
+                    pa.int64()).to_pylist()
+    lsn = g.column("lsn").to_pylist()
+    lines = []
+    for i in range(g.num_rows):
+        u = ts_us[i]
+        lines.append(json.dumps({
+            "op": wire_op[i],
+            "before": payload[i] if is_d[i] else None,
+            "after": None if is_d[i] else payload[i],
+            "ts_ms": (u // 1000) if u is not None else None,
+            "ts_us": u,
+            "lsn": lsn[i],
+        }, default=str))
+    path = Path(out_dir) / f"feed-{seq:012d}.jsonl"
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        f.write("\n".join(lines) + "\n")
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(out_dir)
+    return g.num_rows
 
 
 # ------------------------------------------------------- co-located diff
@@ -924,18 +929,11 @@ def diff_lakes(a: JobConfig, b: JobConfig,
     rows flowing to the consumer, never a two-sided payload shuffle.
     Raises ``LakeLayoutError`` when the layouts differ: bring one lake to
     the other's layout with ``pipelines.replay.repartition_lake`` first."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray
     import ray.data as rd
-    from migration_pair_ray.functions.lww import finalize_visible
-    from migration_pair_ray.functions.normalize import make_normalizer
-    from migration_pair_ray.schemas import CHANGE_SCHEMA, unify_change_schemas
+    from migration_pair_ray.schemas import CHANGE_SCHEMA
     from migration_pair_ray.sources.readers import driver_dataset
-    from migration_pair_ray.stages.applier import read_state_table
     from migration_pair_ray.state.manifest import (LakeLayoutError, LakeMeta,
-                                                   ManifestStore,
-                                                   record_files)
+                                                   ManifestStore)
 
     la, lb = LakeMeta(a.lake_dir), LakeMeta(b.lake_dir)
     ra, rb = la.read() or {}, lb.read() or {}
@@ -961,7 +959,7 @@ def diff_lakes(a: JobConfig, b: JobConfig,
         mma, mmb = sa.read(pid), sb.read(pid)
         if mma is None and mmb is None:
             continue
-        plans.append((pid, mma, mmb))
+        plans.append((mma, mmb))
     payload = tuple(payload_cols)
     if not plans:
         empty = pa.schema(
@@ -971,85 +969,86 @@ def diff_lakes(a: JobConfig, b: JobConfig,
                for p in ("before", "after") for c in payload])
         return driver_dataset([empty.empty_table()])
 
-    def _diff_pid(lake_a: str, mja: str | None, lake_b: str,
-                  mjb: str | None) -> pa.Table:
-        # schema unification happens HERE, per pid, from the tables just
-        # read — the driver never does an O(total state files) serial
-        # footer sweep before the first task can start.  Output payload
-        # columns are cast to their canonical CHANGE_SCHEMA types below,
-        # so blocks align across partitions that evolved differently.
-        ta = read_state_table(lake_a, json.loads(mja) if mja else None,
-                              kernel=kernel)
-        tb = read_state_table(lake_b, json.loads(mjb) if mjb else None,
-                              kernel=kernel)
-        local = [t.schema for t in (ta, tb)
-                 if t is not None and t.num_rows]
-        schema = unify_change_schemas(local) if local else CHANGE_SCHEMA
-        norm = make_normalizer(schema)
+    return rd.from_arrow_refs([remote_call.remote(
+        _diff_partition, a.lake_dir, mma, b.lake_dir, mmb, kernel, payload)
+        for mma, mmb in plans])
 
-        def side(t: pa.Table | None, prefix: str) -> pa.Table:
-            if t is None or t.num_rows == 0:
-                t = schema.empty_table()
-            t = finalize_visible(norm(t), kernel)
-            cols = {"conv_id": t.column("conv_id"),
-                    "turn_idx": t.column("turn_idx")}
-            for c in payload:
-                col = t.column(c)
-                if c in CHANGE_SCHEMA.names:
-                    col = pc.cast(col, CHANGE_SCHEMA.field(c).type)
-                cols[f"{prefix}_{c}"] = col
-            cols[f"__{prefix}"] = pa.array(
-                np.ones(t.num_rows, np.int8))
-            return pa.table(cols)
 
-        va = side(ta, "before")
-        vb = side(tb, "after")
-        j = va.join(vb, keys=["conv_id", "turn_idx"],
-                    join_type="full outer")
+def _diff_partition(lake_a: str, ma: dict | None, lake_b: str,
+                    mb: dict | None, kernel: str,
+                    payload: tuple) -> pa.Table:
+    """One partition id's net diff a → b (``diff_lakes``' per-partition
+    task): a local full outer join of both sides' visible rows."""
+    import numpy as np
+    import pyarrow.compute as pc
+    from migration_pair_ray.functions.lww import finalize_visible
+    from migration_pair_ray.functions.normalize import make_normalizer
+    from migration_pair_ray.schemas import CHANGE_SCHEMA, unify_change_schemas
+    from migration_pair_ray.stages.applier import read_state_table
 
-        in_a = pc.is_valid(j.column("__before"))
-        in_b = pc.is_valid(j.column("__after"))
+    # schema unification happens HERE, per pid, from the tables just
+    # read — the driver never does an O(total state files) serial footer
+    # sweep before the first task can start.  Output payload columns are
+    # cast to their canonical CHANGE_SCHEMA types below, so blocks align
+    # across partitions that evolved differently.
+    ta = read_state_table(lake_a, ma, kernel=kernel)
+    tb = read_state_table(lake_b, mb, kernel=kernel)
+    local = [t.schema for t in (ta, tb) if t is not None and t.num_rows]
+    schema = unify_change_schemas(local) if local else CHANGE_SCHEMA
+    norm = make_normalizer(schema)
 
-        def same(col: str):
-            x, y = j.column(f"before_{col}"), j.column(f"after_{col}")
-            eq = pc.fill_null(pc.equal(x, y), False)
-            return pc.or_(eq, pc.and_(pc.is_null(x), pc.is_null(y)))
-
-        if payload:
-            unchanged = same(payload[0])
-            for c in payload[1:]:
-                unchanged = pc.and_(unchanged, same(c))
-        else:   # presence-only: both-present keys never emit
-            unchanged = pa.array(np.ones(j.num_rows, np.bool_))
-
-        def _cc(x):
-            return x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x
-
-        ins = pc.and_(pc.invert(_cc(in_a)), in_b)
-        dele = pc.and_(in_a, pc.invert(_cc(in_b)))
-        emit = pc.or_(pc.or_(ins, dele),
-                      pc.and_(pc.and_(in_a, in_b),
-                              pc.invert(_cc(unchanged))))
-        j = j.filter(emit)
-        ins_np = pc.and_(pc.invert(_cc(pc.is_valid(j.column("__before")))),
-                         pc.is_valid(j.column("__after"))
-                         ).to_numpy(zero_copy_only=False)
-        del_np = pc.and_(pc.is_valid(j.column("__before")),
-                         pc.invert(_cc(pc.is_valid(j.column("__after"))))
-                         ).to_numpy(zero_copy_only=False)
-        change = np.where(ins_np, "insert",
-                          np.where(del_np, "delete", "update"))
-        cols = {"conv_id": j.column("conv_id"),
-                "turn_idx": j.column("turn_idx"),
-                "change": pa.array(change.tolist(), pa.string())}
-        for p in ("before", "after"):
-            for c in payload:
-                cols[f"{p}_{c}"] = j.column(f"{p}_{c}")
+    def side(t: pa.Table | None, prefix: str) -> pa.Table:
+        if t is None or t.num_rows == 0:
+            t = schema.empty_table()
+        t = finalize_visible(norm(t), kernel)
+        cols = {"conv_id": t.column("conv_id"),
+                "turn_idx": t.column("turn_idx")}
+        for c in payload:
+            col = t.column(c)
+            if c in CHANGE_SCHEMA.names:
+                col = pc.cast(col, CHANGE_SCHEMA.field(c).type)
+            cols[f"{prefix}_{c}"] = col
+        cols[f"__{prefix}"] = pa.array(np.ones(t.num_rows, np.int8))
         return pa.table(cols)
 
-    fn = ray.remote(num_cpus=1)(_diff_pid)
-    refs = [fn.remote(a.lake_dir, json.dumps(mma) if mma else None,
-                      b.lake_dir, json.dumps(mmb) if mmb else None)
-            for _, mma, mmb in plans]
-    return rd.from_arrow_refs(refs)
+    va = side(ta, "before")
+    vb = side(tb, "after")
+    j = va.join(vb, keys=["conv_id", "turn_idx"], join_type="full outer")
 
+    in_a = pc.is_valid(j.column("__before"))
+    in_b = pc.is_valid(j.column("__after"))
+
+    def same(col: str):
+        x, y = j.column(f"before_{col}"), j.column(f"after_{col}")
+        eq = pc.fill_null(pc.equal(x, y), False)
+        return pc.or_(eq, pc.and_(pc.is_null(x), pc.is_null(y)))
+
+    if payload:
+        unchanged = same(payload[0])
+        for c in payload[1:]:
+            unchanged = pc.and_(unchanged, same(c))
+    else:   # presence-only: both-present keys never emit
+        unchanged = pa.array(np.ones(j.num_rows, np.bool_))
+
+    def _cc(x):
+        return x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x
+
+    ins = pc.and_(pc.invert(_cc(in_a)), in_b)
+    dele = pc.and_(in_a, pc.invert(_cc(in_b)))
+    emit = pc.or_(pc.or_(ins, dele),
+                  pc.and_(pc.and_(in_a, in_b), pc.invert(_cc(unchanged))))
+    j = j.filter(emit)
+    ins_np = pc.and_(pc.invert(_cc(pc.is_valid(j.column("__before")))),
+                     pc.is_valid(j.column("__after"))
+                     ).to_numpy(zero_copy_only=False)
+    del_np = pc.and_(pc.is_valid(j.column("__before")),
+                     pc.invert(_cc(pc.is_valid(j.column("__after"))))
+                     ).to_numpy(zero_copy_only=False)
+    change = np.where(ins_np, "insert", np.where(del_np, "delete", "update"))
+    cols = {"conv_id": j.column("conv_id"),
+            "turn_idx": j.column("turn_idx"),
+            "change": pa.array(change.tolist(), pa.string())}
+    for p in ("before", "after"):
+        for c in payload:
+            cols[f"{p}_{c}"] = j.column(f"{p}_{c}")
+    return pa.table(cols)

@@ -24,10 +24,10 @@ Two levels:
   the check that catches a mis-configured `num_partitions` or a foreign
   file copied into the lake.
 
-Scale shape: one Ray task per partition batch (``map_batches`` over the
-partition-id list); each task touches only its own partitions' files, so
-the sweep parallelizes to the cluster and the driver receives only
-problem rows (bounded by the damage, not the lake size).
+Scale shape: one Ray task per partition; each task touches only its own
+partition's files, so the sweep parallelizes to the cluster and the
+driver receives only that partition's problems plus its file and row
+counts (bounded by the damage, not the lake size).
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray.data as rd
+import ray
 
 from migration_pair_ray.config import JobConfig
+from migration_pair_ray.pipelines.replay import remote_call
 from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
-
-
 from migration_pair_ray.state.manifest import sha256_file as _sha256
 
 
@@ -66,8 +64,10 @@ def _check_partition(lake_dir: str, pid: int, deep: bool,
                      num_partitions: int, mode: str,
                      splits: dict, kernel: str = "row",
                      hot_convs: tuple = (),
-                     ever_committed: frozenset = frozenset()) -> list[dict]:
-    """All problems found in one partition (empty list = healthy)."""
+                     ever_committed: frozenset = frozenset()
+                     ) -> tuple[list[dict], int, int]:
+    """(problems found in one partition — empty = healthy, its audited
+    file count, its audited row count incl. merge-on-read deltas)."""
     problems: list[dict] = []
 
     def bad(kind: str, detail: str) -> None:
@@ -97,7 +97,7 @@ def _check_partition(lake_dir: str, pid: int, deep: bool,
                 "no manifest (and no state files)" if not on_disk else
                 "partition committed state in lineage history but has "
                 "no manifest")
-        return problems
+        return problems, 0, 0
 
     entries = _entries(manifest)
     # retained prev_records (time-travel window) legitimately pin files
@@ -163,13 +163,10 @@ def _check_partition(lake_dir: str, pid: int, deep: bool,
         bad("manifest_rows_mismatch",
             f"sum of file rows {rows_sum} != partition row_count "
             f"{manifest.get('row_count')}")
-    # totals ride back with the problems (one _stats row per partition) so
-    # the driver never re-reads every manifest just to sum files/rows —
-    # audited delta files/rows count toward the ops-visible totals too
-    problems.append({"partition": pid, "kind": "_stats",
-                     "detail": f"{len(entries) + delta_files}:"
-                               f"{rows_sum + delta_rows}"})
-    return problems
+    # totals ride back with the problems so the driver never re-reads
+    # every manifest just to sum files/rows — audited delta files/rows
+    # count toward the ops-visible totals too
+    return problems, len(entries) + delta_files, rows_sum + delta_rows
 
 
 def _deep_check(lake_dir: str, pid: int, entry: dict, path: str, bad,
@@ -267,27 +264,10 @@ def validate_lake(cfg: JobConfig, deep: bool = False) -> dict:
                 .column("partition").to_pylist())
         ever_committed = frozenset(committed)
 
-    def check_batch(t: pa.Table) -> pa.Table:
-        rows = []
-        for pid in t.column("pid").to_pylist():
-            rows.extend(_check_partition(lake_dir, int(pid), deep,
-                                         num_partitions, mode, splits,
-                                         kernel, hot_convs,
-                                         ever_committed))
-        if not rows:
-            return pa.table({"partition": pa.array([], pa.int32()),
-                             "kind": pa.array([], pa.string()),
-                             "detail": pa.array([], pa.string())})
-        return pa.table({
-            "partition": pa.array([r["partition"] for r in rows],
-                                  pa.int32()),
-            "kind": pa.array([r["kind"] for r in rows], pa.string()),
-            "detail": pa.array([r["detail"] for r in rows], pa.string()),
-        })
-
-    problems = (rd.from_items([{"pid": p} for p in pids])
-                .map_batches(check_batch, batch_format="pyarrow")
-                .take_all())                   # bounded by damage found
+    checked = ray.get([remote_call.remote(
+        _check_partition, lake_dir, pid, deep, num_partitions, mode, splits,
+        kernel, hot_convs, ever_committed) for pid in pids])
+    problems = [p for found, _, _ in checked for p in found]
 
     store = ManifestStore(os.path.join(cfg.lake_dir, "_manifest"))
     # a manifest for a partition id the meta no longer enumerates is the
@@ -304,19 +284,10 @@ def validate_lake(cfg: JobConfig, deep: bool = False) -> dict:
                              "detail": f"{p.name} exists but partition "
                                        f"{mpid} is not enumerated by "
                                        f"_lake_meta (relayout GC leftover)"})
-    # totals come from the distributed sweep's _stats rows — the driver
-    # does not re-open every manifest it just audited in parallel
-    files = rows = 0
-    real_problems = []
-    for r in problems:
-        if r["kind"] == "_stats":
-            nf, nr = r["detail"].split(":")
-            files += int(nf)
-            rows += int(nr)
-        else:
-            real_problems.append(r)
-    return {"ok": not real_problems, "partitions": len(pids), "files": files,
-            "rows": rows, "deep": deep, "problems": real_problems}
+    return {"ok": not problems, "partitions": len(pids),
+            "files": sum(nf for _, nf, _ in checked),
+            "rows": sum(nr for _, _, nr in checked), "deep": deep,
+            "problems": problems}
 
 
 def lake_stats(cfg: JobConfig) -> dict:

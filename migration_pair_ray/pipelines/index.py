@@ -6,9 +6,10 @@ full scans; a predicate on a NON-key column (``tool = 'w3'``,
 classic inverted-index answer, shaped for the lake's own commit discipline:
 
 - ``build_value_index(cfg, column)`` sweeps the committed state files ONCE
-  (distributed, column-pruned reads) and writes, per partition, a tiny
-  postings file ``_index/<column>/part-<pid>.parquet`` with rows
-  ``(value, file, n_rows)`` — which state files contain which values.
+  (one Ray task per partition, column-pruned reads) and writes, per
+  partition, a tiny postings file ``_index/<column>/part-<pid>.parquet``
+  with rows ``(value, file, n_rows)`` — which state files contain which
+  values.
 - Builds are INCREMENTAL: each partition's postings are fingerprinted by
   its manifest's current state-file list + sizes (state files are
   immutable copy-on-write, so an unchanged list ⇒ unchanged contents); a
@@ -40,11 +41,11 @@ from pathlib import Path
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-
-import ray.data as rd
+import ray
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import visible_state
+from migration_pair_ray.pipelines.replay import remote_call
 from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
                                                _atomic_write, record_files)
 
@@ -143,127 +144,13 @@ def _build_value_index_locked(cfg: JobConfig, column: str) -> dict:
            for pid, m in parts.items()}
     dirty = [pid for pid, fp in fps.items() if old.get(str(pid)) != fp]
 
-    lake_dir, rows_written = cfg.lake_dir, 0
-    if dirty and kernel == "cell":
-        # partition-grain sweep: fold each dirty partition's determiner
-        # rows to its VISIBLE values (read_state_table folds MoR deltas
-        # too), one partition per task; postings carry file="" (the probe
-        # re-folds whole partitions, files are not value-addressable).
-        # Manifests come from the SAME captured view the fingerprints
-        # were computed from — never a second store read.
-        items = [{"pid": pid, "manifest": json.dumps(parts[pid] or {})}
-                 for pid in dirty]
-
-        def postings_cell(t: pa.Table) -> pa.Table:
-            from migration_pair_ray.functions.cells import cell_finalize
-            from migration_pair_ray.stages.applier import read_state_table
-            pids, vals, counts = [], [], []
-            for pid, mj in zip(t.column("pid").to_pylist(),
-                               t.column("manifest").to_pylist()):
-                m = json.loads(mj)
-                st = read_state_table(lake_dir, m or None, kernel="cell")
-                if st is None or column not in st.schema.names:
-                    continue
-                vis = cell_finalize(st)
-                vc = pa.table({"v": vis.column(column)}).group_by(
-                    "v").aggregate([("v", "count")])
-                keep = vc.filter(pc.is_valid(vc.column("v")))
-                pids.extend([pid] * keep.num_rows)
-                vals.append(keep.column("v").cast(pa.string()))
-                counts.append(keep.column("v_count").cast(pa.int64()))
-            return pa.table({
-                "pid": pa.array(pids, pa.int32()),
-                "value": (pa.concat_arrays([c.combine_chunks() for c in vals])
-                          if vals else pa.array([], pa.string())),
-                "file": pa.array([""] * len(pids), pa.string()),
-                "n_rows": (pa.concat_arrays([c.combine_chunks()
-                                             for c in counts])
-                           if counts else pa.array([], pa.int64())),
-            })
-
-        def write_partition(g: pa.Table) -> pa.Table:
-            from migration_pair_ray.stages.applier import _fsync_write_parquet
-            pid = int(g.column("pid")[0].as_py())
-            out = g.drop_columns(["pid"]).sort_by([("value", "ascending")])
-            _fsync_write_parquet(out, str(idx / f"part-{pid:05d}.parquet"))
-            return pa.table({"pid": pa.array([pid], pa.int32()),
-                             "rows": pa.array([out.num_rows], pa.int64())})
-
-        written = (rd.from_items(items)
-                   .map_batches(postings_cell, batch_format="pyarrow",
-                                batch_size=1)
-                   .groupby("pid").map_groups(write_partition,
-                                              batch_format="pyarrow")
-                   .take_all())
-        rows_written = sum(r["rows"] for r in written)
-        wrote_pids = {r["pid"] for r in written}
-        from migration_pair_ray.stages.applier import _fsync_write_parquet
-        for pid in dirty:
-            if pid not in wrote_pids:
-                _fsync_write_parquet(pa.table({
-                    "value": pa.array([], pa.string()),
-                    "file": pa.array([], pa.string()),
-                    "n_rows": pa.array([], pa.int64())}),
-                    str(idx / f"part-{pid:05d}.parquet"))
-    elif dirty:
-        items = [{"pid": pid, "file": rel}
-                 for pid in dirty for rel in record_files(parts[pid])]
-
-        def postings(t: pa.Table) -> pa.Table:
-            # one row in == one state file; the loop is over FILES, and the
-            # read is column-pruned to the indexed column only
-            pids, vals, files, counts = [], [], [], []
-            for pid, rel in zip(t.column("pid").to_pylist(),
-                                t.column("file").to_pylist()):
-                pf = pq.ParquetFile(str(Path(lake_dir) / rel))
-                if column not in pf.schema_arrow.names:
-                    continue  # pre-evolution file: column reads all-null
-                col = pq.read_table(str(Path(lake_dir) / rel),
-                                    columns=[column]).column(column)
-                vc = pa.table({"v": col}).group_by("v").aggregate(
-                    [("v", "count")])
-                keep = vc.filter(pc.is_valid(vc.column("v")))
-                n = keep.num_rows
-                pids.extend([pid] * n)
-                files.extend([rel] * n)
-                vals.append(keep.column("v").cast(pa.string()))
-                counts.append(keep.column("v_count").cast(pa.int64()))
-            return pa.table({
-                "pid": pa.array(pids, pa.int32()),
-                "value": (pa.concat_arrays([c.combine_chunks() for c in vals])
-                          if vals else pa.array([], pa.string())),
-                "file": pa.array(files, pa.string()),
-                "n_rows": (pa.concat_arrays([c.combine_chunks()
-                                             for c in counts])
-                           if counts else pa.array([], pa.int64())),
-            })
-
-        def write_partition(g: pa.Table) -> pa.Table:
-            from migration_pair_ray.stages.applier import _fsync_write_parquet
-            pid = int(g.column("pid")[0].as_py())
-            out = g.drop_columns(["pid"]).sort_by(
-                [("value", "ascending"), ("file", "ascending")])
-            _fsync_write_parquet(out, str(idx / f"part-{pid:05d}.parquet"))
-            return pa.table({"pid": pa.array([pid], pa.int32()),
-                             "rows": pa.array([out.num_rows], pa.int64())})
-
-        written = (rd.from_items(items)
-                   .map_batches(postings, batch_format="pyarrow")
-                   .groupby("pid").map_groups(write_partition,
-                                              batch_format="pyarrow")
-                   .take_all())
-        rows_written = sum(r["rows"] for r in written)
-        wrote_pids = {r["pid"] for r in written}
-        # dirty partitions with NO current files (or no non-null values)
-        # still need an (empty) postings file so the probe can trust them
-        from migration_pair_ray.stages.applier import _fsync_write_parquet
-        for pid in dirty:
-            if pid not in wrote_pids:
-                _fsync_write_parquet(pa.table({
-                    "value": pa.array([], pa.string()),
-                    "file": pa.array([], pa.string()),
-                    "n_rows": pa.array([], pa.int64())}),
-                    str(idx / f"part-{pid:05d}.parquet"))
+    # one Ray task per dirty partition reads its files, sorts its postings
+    # and writes its postings file (empty when it has none, so the probe
+    # can trust it).  Manifests come from the SAME captured view the
+    # fingerprints were computed from — never a second store read.
+    rows_written = sum(ray.get([remote_call.remote(
+        _index_partition, cfg.lake_dir, parts[pid], kernel, column,
+        str(idx / f"part-{pid:05d}.parquet")) for pid in dirty]))
 
     # single atomic commit point; stale posting files for retired pids are
     # harmless (unreferenced) but cleaned here for tidiness
@@ -277,6 +164,54 @@ def _build_value_index_locked(cfg: JobConfig, column: str) -> dict:
             p.unlink()
     return {"partitions": len(fps), "reindexed": len(dirty),
             "reused": len(fps) - len(dirty), "postings_rows": rows_written}
+
+
+def _value_counts(col) -> tuple[pa.Array, pa.Array]:
+    """(each non-null value of ``col`` as a string, its row count)."""
+    vc = pa.table({"v": col}).group_by("v").aggregate([("v", "count")])
+    keep = vc.filter(pc.is_valid(vc.column("v")))
+    return (keep.column("v").cast(pa.string()).combine_chunks(),
+            keep.column("v_count").cast(pa.int64()).combine_chunks())
+
+
+def _index_partition(lake_dir: str, manifest: dict | None, kernel: str,
+                     column: str, path: str) -> int:
+    """Write one partition's postings ``(value, file, n_rows)`` to
+    ``path``, sorted; returns the postings row count.
+
+    Row kernel: one posting per (value, state file), each file read
+    column-pruned to ``column``.  Cell kernel: the partition folds to
+    its VISIBLE values (``read_state_table`` folds MoR deltas too) and
+    postings carry ``file=""`` — the probe re-folds whole partitions,
+    files are not value-addressable."""
+    from migration_pair_ray.stages.applier import _fsync_write_parquet
+    vals, files, counts = [], [], []
+    if kernel == "cell":
+        from migration_pair_ray.functions.cells import cell_finalize
+        from migration_pair_ray.stages.applier import read_state_table
+        st = read_state_table(lake_dir, manifest, kernel="cell")
+        if st is not None and column in st.schema.names:
+            v, n = _value_counts(cell_finalize(st).column(column))
+            vals, counts = [v], [n]
+            files = [pa.array([""] * len(v), pa.string())]
+    else:
+        for rel in record_files(manifest):
+            full = str(Path(lake_dir) / rel)
+            if column not in pq.ParquetFile(full).schema_arrow.names:
+                continue  # pre-evolution file: column reads all-null
+            v, n = _value_counts(
+                pq.read_table(full, columns=[column]).column(column))
+            vals.append(v)
+            counts.append(n)
+            files.append(pa.array([rel] * len(v), pa.string()))
+    out = pa.table({
+        "value": pa.concat_arrays(vals) if vals else pa.array([], pa.string()),
+        "file": pa.concat_arrays(files) if files else pa.array([], pa.string()),
+        "n_rows": (pa.concat_arrays(counts) if counts
+                   else pa.array([], pa.int64())),
+    }).sort_by([("value", "ascending"), ("file", "ascending")])
+    _fsync_write_parquet(out, path)
+    return out.num_rows
 
 
 def _verify_fresh(cfg: JobConfig,

@@ -50,8 +50,8 @@ import pyarrow.compute as pc
 import ray
 
 from migration_pair_ray.config import JobConfig
-
-MERGE_KEYS = ("conv_id", "turn_idx")
+from migration_pair_ray.pipelines.replay import remote_call
+from migration_pair_ray.schemas import MERGE_KEYS
 
 
 def _key_hash64(conv: pa.ChunkedArray | pa.Array,
@@ -93,20 +93,20 @@ def _discover_keys(cfg: JobConfig, bad: frozenset[int],
         pick, batch_format="pyarrow")
 
 
-def _repair_partition(lake_dir: str, manifest_json: str, kernel: str,
-                      key_set: np.ndarray, rows_ref, pid: int,
+def _repair_partition(lake_dir: str, prev: dict | None, kernel: str,
+                      key_set: np.ndarray, add: pa.Table, pid: int,
                       route_mask: np.ndarray, pass_id: str,
                       state_chunk_rows: int, hash_state: bool) -> dict:
     """Rewrite ONE follower partition: drop rows whose key hash is in
     ``key_set`` (sorted uint64), splice in the source's rows routed here
-    (``route_mask`` over the broadcast repair table), return the new
-    manifest record (uncommitted — the driver owns the commit order)."""
+    (``route_mask`` over the broadcast repair table ``add``), return the
+    new manifest record (uncommitted — the driver owns the commit order)."""
+    from migration_pair_ray.functions.lww import _SORT_KEYS
     from migration_pair_ray.stages.applier import (read_state_table,
                                                    write_chunk_files,
                                                    write_state_parquet)
-    from migration_pair_ray.state.manifest import sha256_file
+    from migration_pair_ray.state.manifest import content_hash
 
-    prev = json.loads(manifest_json) if manifest_json else None
     existing = read_state_table(lake_dir, prev, kernel=kernel)
     parts = []
     if existing is not None and existing.num_rows:
@@ -115,15 +115,12 @@ def _repair_partition(lake_dir: str, manifest_json: str, kernel: str,
         keep = ~np.isin(h, key_set)
         if keep.any():
             parts.append(existing.filter(pa.array(keep)))
-    add = ray.get(rows_ref) if not isinstance(rows_ref, pa.Table) else rows_ref
     if route_mask.any():
         parts.append(add.filter(pa.array(route_mask)))
     if parts:
         merged = (parts[0] if len(parts) == 1
                   else pa.concat_tables(parts, promote_options="permissive"))
-        merged = merged.sort_by([("conv_id", "ascending"),
-                                 ("turn_idx", "ascending"),
-                                 ("ts", "ascending"), ("lsn", "ascending")])
+        merged = merged.sort_by(_SORT_KEYS)
     else:
         merged = None
 
@@ -139,13 +136,12 @@ def _repair_partition(lake_dir: str, manifest_json: str, kernel: str,
     lsn_hi = int(pc.max(merged.column("lsn")).as_py())
     d = Path(lake_dir) / f"part={pid:05d}"
     d.mkdir(parents=True, exist_ok=True)
-    hash_fn = sha256_file if hash_state else (lambda p: "")
     key_nulls = any(merged.column(k).null_count > 0 for k in MERGE_KEYS)
     if state_chunk_rows > 0 and not key_nulls:
         entries = write_chunk_files(
             lake_dir, merged, state_chunk_rows,
             name_fn=lambda s: str(d / f"state-{pass_id}-{s:04d}.parquet"),
-            hash_file=hash_fn, start_seq=0)
+            hash_state=hash_state)
         record.update(data_files=entries,
                       row_count=sum(e["rows"] for e in entries),
                       tombstones=sum(e["tombstones"] for e in entries),
@@ -156,7 +152,7 @@ def _repair_partition(lake_dir: str, manifest_json: str, kernel: str,
         record.update(data_file=str(Path(path).relative_to(lake_dir)),
                       row_count=merged.num_rows, tombstones=tombstones,
                       lsn_lo=lsn_lo, lsn_hi=lsn_hi,
-                      content_hash=hash_fn(path))
+                      content_hash=content_hash(path, hash_state))
     return record
 
 
@@ -253,15 +249,10 @@ def _repair_locked(src: JobConfig, dst: JobConfig, n_buckets: int,
 
     store = ManifestStore(dst.manifest_dir)
     rows_ref = ray.put(repair_rows)
-    fn = ray.remote(num_cpus=1)(_repair_partition)
-    futures = []
-    for pid in touched:
-        m = store.read(pid)
-        futures.append(fn.remote(
-            dst.lake_dir, json.dumps(m) if m else "", kernel, key_set,
-            rows_ref, pid, row_pids == pid, rb_pass,
-            dst.state_chunk_rows, dst.hash_state))
-    records = ray.get(futures)
+    records = ray.get([remote_call.remote(
+        _repair_partition, dst.lake_dir, store.read(pid), kernel, key_set,
+        rows_ref, pid, row_pids == pid, rb_pass, dst.state_chunk_rows,
+        dst.hash_state) for pid in touched])
 
     # 5. commit — manifests first (idempotent: same seq → same pass id →
     # same file names/bytes on retry), job checkpoint last

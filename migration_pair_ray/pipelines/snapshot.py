@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from migration_pair_ray.config import JobConfig
-from migration_pair_ray.pipelines.replay import final_state
+from migration_pair_ray.pipelines.replay import final_state, remote_call
 
 
 def _ts_to_unix_ms(batch: pa.Table) -> pa.Table:
@@ -83,35 +84,24 @@ def snapshot(cfg: JobConfig, out_dir: str, fmt: str = "parquet",
         if m.get("delta_files") or kernel == "cell":
             # cell-kernel state files hold each key's DETERMINER rows, not
             # one winner — row_count-tombstones is not the visible count;
-            # fold distributed like a MoR partition
+            # fold it like a MoR partition
             mor.append(m)
         else:
             total += int(m["row_count"]) - int(m["tombstones"])
-    if mor:
-        # merge-on-read partitions: base counts don't know which delta
-        # keys superseded base keys — fold distributed (one task per
-        # partition, same read shape read_lake uses; never driver memory)
-        import json as _json
-
-        import ray.data as rd
-        lake_dir = cfg.lake_dir
-
-        def visible_count(t: pa.Table) -> pa.Table:
-            from migration_pair_ray.functions.lww import finalize_visible
-            from migration_pair_ray.stages.applier import read_state_table
-            ns = []
-            for mj in t.column("manifest").to_pylist():
-                st = read_state_table(lake_dir, _json.loads(mj),
-                                      kernel=kernel)
-                ns.append(finalize_visible(st, kernel).num_rows
-                          if st is not None else 0)
-            return pa.table({"n": pa.array(ns, pa.int64())})
-
-        counts = (rd.from_items([{"manifest": _json.dumps(m)} for m in mor])
-                  .map_batches(visible_count, batch_format="pyarrow",
-                               batch_size=1).take_all())
-        total += sum(r["n"] for r in counts)
+    # merge-on-read and cell partitions: the counts above cannot tell
+    # which delta keys superseded base keys, so each folds in its own Ray
+    # task (one partition's state per task; never driver memory)
+    total += sum(ray.get([remote_call.remote(
+        _visible_count, cfg.lake_dir, m, kernel) for m in mor]))
     return total
+
+
+def _visible_count(lake_dir: str, manifest: dict, kernel: str) -> int:
+    """Visible rows of one partition (its base and deltas folded)."""
+    from migration_pair_ray.functions.lww import finalize_visible
+    from migration_pair_ray.stages.applier import read_state_table
+    st = read_state_table(lake_dir, manifest, kernel=kernel)
+    return finalize_visible(st, kernel).num_rows if st is not None else 0
 
 
 def snapshot_incremental(cfg: JobConfig, out_dir: str) -> dict:
@@ -143,12 +133,7 @@ def snapshot_incremental(cfg: JobConfig, out_dir: str) -> dict:
 def _snapshot_incremental_locked(cfg: JobConfig, out_dir: str) -> dict:
     import json as _json
 
-    import ray.data as rd
-
-    from migration_pair_ray.functions.lww import finalize_visible
     from migration_pair_ray.pipelines.index import _partition_fingerprint
-    from migration_pair_ray.stages.applier import (_fsync_write_parquet,
-                                                   read_state_table)
     from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
                                                    _atomic_write,
                                                    record_files)
@@ -170,43 +155,10 @@ def _snapshot_incremental_locked(cfg: JobConfig, out_dir: str) -> dict:
             cfg.lake_dir, record_files(m))
     dirty = [pid for pid, fp in fps.items() if old.get(str(pid)) != fp]
 
-    rows_exported = 0
-    if dirty:
-        lake_dir, out_str = cfg.lake_dir, str(out)
-
-        from migration_pair_ray.schemas import CHANGE_SCHEMA
-
-        def export_one(t: pa.Table) -> pa.Table:
-            ns, pids = [], []
-            for mj in t.column("manifest").to_pylist():
-                rec = _json.loads(mj)
-                pid = int(rec["pid"])
-                st = read_state_table(lake_dir, rec["m"],  # folds MoR
-                                      kernel=kernel)
-                path = f"{out_str}/part-{pid:05d}.parquet"
-                if st is None:
-                    # never-written partition: canonical-schema empty file
-                    vis = finalize_visible(CHANGE_SCHEMA.empty_table(),
-                                           kernel)
-                else:
-                    # keep the partition's own (possibly evolved) schema
-                    # even when every row is tombstoned — the export dir
-                    # must not silently mix schema vintages per file
-                    vis = finalize_visible(st, kernel).sort_by(
-                        [("conv_id", "ascending"),
-                         ("turn_idx", "ascending")])
-                _fsync_write_parquet(vis, path)
-                ns.append(vis.num_rows)
-                pids.append(pid)
-            return pa.table({"pid": pa.array(pids, pa.int32()),
-                             "rows": pa.array(ns, pa.int64())})
-
-        items = [{"manifest": _json.dumps({"pid": pid, "m": manifests[pid]})}
-                 for pid in dirty]
-        written = (rd.from_items(items)
-                   .map_batches(export_one, batch_format="pyarrow",
-                                batch_size=1).take_all())
-        rows_exported = sum(r["rows"] for r in written)
+    # one Ray task per moved partition reads, folds and writes its file
+    rows_exported = sum(ray.get([remote_call.remote(
+        _export_partition, cfg.lake_dir, manifests[pid], kernel,
+        str(out / f"part-{pid:05d}.parquet")) for pid in dirty]))
 
     # atomic meta flip LAST, then GC retired partitions' files
     _atomic_write(str(meta_path), _json.dumps(
@@ -222,3 +174,25 @@ def _snapshot_incremental_locked(cfg: JobConfig, out_dir: str) -> dict:
         p.unlink()
     return {"partitions": len(fps), "exported": len(dirty),
             "reused": len(fps) - len(dirty), "rows_exported": rows_exported}
+
+
+def _export_partition(lake_dir: str, manifest: dict | None, kernel: str,
+                      path: str) -> int:
+    """Write one partition's visible state (base and deltas folded) to
+    ``path``, key-sorted; returns its row count."""
+    from migration_pair_ray.functions.lww import finalize_visible
+    from migration_pair_ray.schemas import CHANGE_SCHEMA
+    from migration_pair_ray.stages.applier import (_fsync_write_parquet,
+                                                   read_state_table)
+    st = read_state_table(lake_dir, manifest, kernel=kernel)
+    if st is None:
+        # never-written partition: canonical-schema empty file
+        vis = finalize_visible(CHANGE_SCHEMA.empty_table(), kernel)
+    else:
+        # keep the partition's own (possibly evolved) schema even when
+        # every row is tombstoned — the export dir must not silently mix
+        # schema vintages per file
+        vis = finalize_visible(st, kernel).sort_by(
+            [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    _fsync_write_parquet(vis, path)
+    return vis.num_rows

@@ -33,7 +33,7 @@ from migration_pair_ray.functions.lww import merge_tables_chunked
 from migration_pair_ray.schemas import MERGE_KEYS
 from migration_pair_ray.sources.readers import read_footer, read_parquet_file
 from migration_pair_ray.stages.partition import PART_COL
-from migration_pair_ray.state.manifest import ManifestStore
+from migration_pair_ray.state.manifest import ManifestStore, content_hash
 
 # Columns the pass combiner (pipelines/replay.combine_changes) stamps on
 # every surviving change row: the min and max raw lsn of its partition's
@@ -82,11 +82,13 @@ def write_state_parquet(table: pa.Table, path: str) -> int:
     (state/bloom.py) — change/export files use plain ``_fsync_write_parquet``
     (blooms only pay for themselves on point-lookup-served state files).
 
-    State files are zstd: measured on state-shaped data (500k rows, text
-    payload) it is 31% smaller than snappy AND faster on both sides
-    (write 0.19 vs 0.20 s, read 0.05 vs 0.13 s) — at 100 TB the footprint
-    and the per-pass merge re-read both shrink.  Codec choice is per-file
-    metadata, so lakes written before this default mix freely."""
+    State files are zstd, chosen for size: on one 500k-row state-shaped
+    table (text payload) zstd wrote 31% fewer bytes than snappy.  Decode
+    speed is not settled: that table read faster as zstd (0.05 vs
+    0.13 s), while the 16 state files of a 44k-row serving lake, decoded
+    serially on one CPU, took 7.80 ms as zstd and 6.37 ms as snappy.
+    Codec choice is per-file metadata, so lakes written under another
+    codec mix freely."""
     from migration_pair_ray.state.bloom import write_sidecar
     nbytes = _fsync_write_parquet(table, path, compression="zstd")
     write_sidecar(path, table)
@@ -147,12 +149,6 @@ class Applier:
 
     # ---------------------------------------------------------- state I/O
 
-    def _hash_file(self, path: str) -> str:
-        if not self.cfg.hash_state:
-            return ""
-        from migration_pair_ray.state.manifest import sha256_file
-        return sha256_file(path)
-
     def _gc(self, pid: int, referenced: set[str]) -> None:
         """Delete state files the committed manifest no longer references
         (best-effort).  Carried-over chunk files from earlier passes stay
@@ -168,7 +164,7 @@ class Applier:
         entries = write_chunk_files(
             self.lake_dir, merged, self.cfg.state_chunk_rows,
             name_fn=lambda s: self._state_file(pid, s),
-            hash_file=self._hash_file, start_seq=seq)
+            hash_state=self.cfg.hash_state, start_seq=seq)
         return entries, seq + len(entries)
 
     def _commit(self, pid: int, record: dict, referenced: set[str]) -> None:
@@ -275,7 +271,7 @@ class Applier:
             "tombstones": tombstones,
             "lsn_lo": lsn_lo,
             "lsn_hi": lsn_hi,
-            "content_hash": self._hash_file(path),
+            "content_hash": content_hash(path, self.cfg.hash_state),
         }, {rel})
 
         return self._lineage(
@@ -323,7 +319,7 @@ class Applier:
             "lsn_hi": int(pc.max(reduced.column("lsn")).as_py()),
             "key_lo": [str(conv[0]), int(turn[0])],
             "key_hi": [str(conv[-1]), int(turn[-1])],
-            "content_hash": self._hash_file(path),
+            "content_hash": content_hash(path, self.cfg.hash_state),
             "bytes": nbytes,
         }
         record = {k: v for k, v in prev.items()
@@ -427,7 +423,8 @@ class Applier:
 
 
 def write_chunk_files(lake_dir: str, merged: pa.Table, chunk_rows: int,
-                      name_fn, hash_file, start_seq: int = 0) -> list[dict]:
+                      name_fn, hash_state: bool,
+                      start_seq: int = 0) -> list[dict]:
     """The ONE chunk-cutting authority: write a key-sorted table as
     key-range chunk files of about ``chunk_rows`` rows, cut at key-group
     boundaries (one key never spans two chunks), fsync'd.  Used by the
@@ -458,7 +455,7 @@ def write_chunk_files(lake_dir: str, merged: pa.Table, chunk_rows: int,
                 pc.equal(sub.column("op"), "D"), pa.int64())).as_py() or 0),
             "key_lo": [str(conv[lo]), int(turn[lo])],
             "key_hi": [str(conv[hi - 1]), int(turn[hi - 1])],
-            "content_hash": hash_file(path),
+            "content_hash": content_hash(path, hash_state),
         })
         seq += 1
         lo = hi

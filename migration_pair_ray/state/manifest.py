@@ -58,6 +58,12 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def content_hash(path: str, hash_state: bool) -> str:
+    """A state file's manifest ``content_hash``: its sha256 when the lake
+    hashes state (``JobConfig.hash_state``), else "" (fsck skips it)."""
+    return sha256_file(path) if hash_state else ""
+
+
 def compute_pass_id(change_files: list[str]) -> str:
     """Deterministic id for a set of change files (basename + size)."""
     h = hashlib.sha256()

@@ -517,3 +517,42 @@ def test_tail_with_quarantine_and_autosplit(tmp_path):
         FROM w WHERE rn = 1 AND op <> 'D'
         ORDER BY conv_id, turn_idx""").df().reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def _upper_text(path: str) -> None:
+    """Rewrite a state file with its ``text`` upper-cased: same rows, keys
+    and tombstones, so only the content hash can tell."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    t = pq.read_table(path)
+    i = t.schema.get_field_index("text")
+    changed = t.set_column(i, "text", pc.utf8_upper(t.column("text")))
+    assert not changed.equals(t)
+    pq.write_table(changed, path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_split_children_carry_content_hash(tmp_lake):
+    """With ``hash_state`` on, each split child records the sha256 of its
+    state file, so a deep fsck catches a child whose bytes changed."""
+    from migration_pair_ray.pipelines.fsck import validate_lake
+    from migration_pair_ray.state.manifest import sha256_file
+    log, lake = tmp_lake
+    generate_change_log(log, n_events=1200, n_convs=8, n_files=2,
+                        tool_epoch=1, seed=73)
+    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=4,
+                    hash_state=True)
+    replay(cfg)
+    s = split_partition(cfg, 0, fanout=2)
+    store = ManifestStore(cfg.manifest_dir)
+    children = [store.read(cid) for cid in s["children"]]
+    for m in children:
+        path = os.path.join(lake, m["data_file"])
+        assert m["content_hash"] == sha256_file(path) != ""
+    assert validate_lake(cfg, deep=True)["ok"]
+
+    _upper_text(os.path.join(lake, children[0]["data_file"]))
+    rep = validate_lake(cfg, deep=True)
+    assert [(p["partition"], p["kind"]) for p in rep["problems"]] == [
+        (s["children"][0], "hash_mismatch")]

@@ -26,6 +26,8 @@ from migration_pair_ray.pipelines.replay import (
 from migration_pair_ray.pipelines.snapshot import snapshot
 from migration_pair_ray.state.manifest import LakeLayoutError, compute_pass_id
 
+REPO = pathlib.Path(__file__).resolve().parents[1]  # repository root
+
 
 @pytest.mark.usefixtures("ray_session")
 def test_lake_layout_change_aborts(tmp_lake, tmp_path):
@@ -314,7 +316,7 @@ def test_tail_cli_survives_sigkill_mid_pass(tmp_path):
     argv = [sys.executable, "-m", "migration_pair_ray", "tail",
             "--config", str(cfg_path), "--num-cpus", "4",
             "--poll-s", "0.2", "--max-polls", "2"]
-    proc = subprocess.Popen(argv, cwd="/root/repo",
+    proc = subprocess.Popen(argv, cwd=REPO,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     # kill as soon as the applier starts committing state (mid-pass for
@@ -335,7 +337,7 @@ def test_tail_cli_survives_sigkill_mid_pass(tmp_path):
         [sys.executable, "-m", "migration_pair_ray", "tail",
          "--config", str(cfg_path), "--num-cpus", "4",
          "--poll-s", "0.0", "--max-polls", "1"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["final_lag"]["pending_files"] == 0

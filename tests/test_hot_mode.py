@@ -17,6 +17,8 @@ from migration_pair_ray.config import JobConfig
 from migration_pair_ray.pipelines.replay import final_state, replay
 from migration_pair_ray.stages.partition import detect_hot_keys
 
+REPO = Path(__file__).resolve().parents[1]  # repository root
+
 ORACLE = """
 WITH ch AS (SELECT * FROM read_parquet('{log}/*.parquet', union_by_name=true)),
 w AS (SELECT *, row_number() OVER (
@@ -194,7 +196,7 @@ def test_lake_hotspots_probe_and_cli(tmp_lake, tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "migration_pair_ray", "hotspots",
          "--config", str(cfg_path), "--top-k", "2", "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["top_k"] == 2 and len(summary["hotspots"]) == 2

@@ -20,6 +20,8 @@ from migration_pair_ray.stages.partition import detect_hot_keys
 from migration_pair_ray.state.lineage import lineage_summary, read_lineage
 from migration_pair_ray.tasks import run_task
 
+REPO = pathlib.Path(__file__).resolve().parents[1]  # repository root
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -112,7 +114,7 @@ def test_cli_end_to_end(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "migration_pair_ray", "replay",
          "--config", str(cfg_path), "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["events_in"] >= 300 and not summary["up_to_date"]
@@ -133,7 +135,7 @@ def test_cli_split_task(tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "migration_pair_ray", *args,
              "--config", str(cfg_path), "--num-cpus", "4"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=300)
+            capture_output=True, text=True, cwd=REPO, timeout=300)
         assert out.returncode == 0, out.stderr[-2000:]
         return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -424,7 +426,7 @@ def test_cli_fsck_task(tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "migration_pair_ray", *args,
              "--config", str(cfg_path), "--num-cpus", "4"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=300)
+            capture_output=True, text=True, cwd=REPO, timeout=300)
         assert out.returncode == 0, out.stderr[-2000:]
         return json.loads(out.stdout.strip().splitlines()[-1])
 

@@ -247,3 +247,38 @@ def test_crash_after_flip_gc_completed_later(tmp_lake, monkeypatch):
     assert all(store.read(c) is None for c in s["children"])
     assert validate_lake(cfg, deep=True)["ok"]
     pd.testing.assert_frame_equal(_fs(cfg), before)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merged_base_carries_content_hash(tmp_lake):
+    """With ``hash_state`` on, the base an unsplit writes records the
+    sha256 of its state file, so a deep fsck catches changed bytes."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from migration_pair_ray.state.manifest import sha256_file
+    log, lake = tmp_lake
+    generate_change_log(log, n_events=1200, n_convs=8, n_files=1,
+                        tool_epoch=1, seed=67)
+    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=4,
+                    hash_state=True)
+    replay(cfg)
+    hot = _heaviest(cfg)
+    split_partition(cfg, hot, fanout=2)
+    merge_partition(cfg, hot)
+    m = ManifestStore(cfg.manifest_dir).read(hot)
+    path = os.path.join(lake, m["data_file"])
+    assert m["content_hash"] == sha256_file(path) != ""
+    assert validate_lake(cfg, deep=True)["ok"]
+
+    # same rows, keys and tombstones: only the content hash can tell
+    t = pq.read_table(path)
+    i = t.schema.get_field_index("text")
+    t = t.set_column(i, "text", pc.utf8_upper(t.column("text")))
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
+    rep = validate_lake(cfg, deep=True)
+    assert [(p["partition"], p["kind"]) for p in rep["problems"]] == [
+        (hot, "hash_mismatch")]

@@ -20,6 +20,8 @@ from migration_pair_ray.pipelines.fsck import validate_lake
 from migration_pair_ray.pipelines.repair import RefillError, refill_partition
 from migration_pair_ray.pipelines.replay import final_state, replay
 
+REPO = Path(__file__).resolve().parents[1]  # repository root
+
 ORACLE = """
 WITH ch AS (SELECT * FROM read_parquet({files}, union_by_name=true)),
 w AS (SELECT *, row_number() OVER (
@@ -331,7 +333,7 @@ def test_refill_task_cli(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "migration_pair_ray", "replay",
          "--config", str(cfg_path), "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     pid = _nonempty_pid(cfg.lake_dir)
     os.remove(sorted(Path(cfg.lake_dir, f"part={pid:05d}")
@@ -340,7 +342,7 @@ def test_refill_task_cli(tmp_path):
         [sys.executable, "-m", "migration_pair_ray", "refill",
          "--config", str(cfg_path), "--base-pid", str(pid),
          "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["partition"] == pid and summary["rows_state"] > 0

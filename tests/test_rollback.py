@@ -25,6 +25,8 @@ from migration_pair_ray.pipelines.fsck import validate_lake
 from migration_pair_ray.pipelines.replay import final_state, replay
 from migration_pair_ray.state.manifest import TimeTravelError
 
+REPO = Path(__file__).resolve().parents[1]  # repository root
+
 
 def _oracle(files: list[str]) -> pd.DataFrame:
     lst = ", ".join(f"'{f}'" for f in files)
@@ -257,7 +259,7 @@ def test_rollback_task_cli(tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "migration_pair_ray", *args,
              "--config", str(cfg_path), "--num-cpus", "4"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=300)
+            capture_output=True, text=True, cwd=REPO, timeout=300)
         assert out.returncode == 0, out.stderr[-2000:]
         return _json.loads(out.stdout.strip().splitlines()[-1])
 
