@@ -173,9 +173,10 @@ def replay_multi(cfg: JobConfig, source_dirs: list[str],
 
 def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
                          names: list[str], t0: float) -> dict:
-    from migration_pair_ray.pipelines.replay import (_write_lineage,
-                                                     apply_changes_ds)
-    from migration_pair_ray.sources.changelog import unified_schema
+    from migration_pair_ray.pipelines.replay import (_parsed_footers,
+                                                     _write_lineage,
+                                                     apply_changes_ds,
+                                                     unified_schema)
 
     _check_registry(cfg, source_dirs, names)
     ck = CheckpointStore(cfg.checkpoint_dir)
@@ -201,7 +202,8 @@ def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
     pass_id = _pass_id_ns(pairs)
     # ONE unified schema across every source's files: schema evolution is
     # global (a source that gained `tool` widens the whole stream)
-    schema = unified_schema([f for _, f in pairs])
+    footers = _parsed_footers([f for _, f in pairs])
+    schema = unified_schema(list(footers.values()))
     pass_seq = ck.next_seq()
 
     qdir = None
@@ -219,7 +221,7 @@ def _replay_multi_locked(cfg: JobConfig, source_dirs: list[str],
         [(files, [_shift_lsn(k, K), *gates])
          for k, files in enumerate(per_source) if files],
         schema, cfg, pass_id, splits=meta.splits(),
-        hot_convs=meta.hot_convs(), pass_seq=pass_seq)
+        hot_convs=meta.hot_convs(), pass_seq=pass_seq, footers=footers)
 
     src_events = {n: sum(file_rows[f] for f in files)
                   for n, files in zip(names, per_source)}

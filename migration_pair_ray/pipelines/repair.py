@@ -376,8 +376,9 @@ def refill_partition(cfg: JobConfig, pid: int) -> dict:
 
 def _refill_locked(cfg: JobConfig, pid: int) -> dict:
     import pyarrow.compute as _pc  # noqa: F401  (kernels via pa.compute)
-    from migration_pair_ray.pipelines.replay import apply_changes_ds
-    from migration_pair_ray.sources.changelog import unified_schema
+    from migration_pair_ray.pipelines.replay import (_parsed_footers,
+                                                     apply_changes_ds,
+                                                     unified_schema)
     from migration_pair_ray.stages.partition import partition_ids
     from migration_pair_ray.state.bloom import gc_partition_files
     from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
@@ -480,11 +481,12 @@ def _refill_locked(cfg: JobConfig, pid: int) -> dict:
             _sh.rmtree(qdir, ignore_errors=True)
             qdir.mkdir(parents=True, exist_ok=True)
             gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
-        lineage, plan, _ = apply_changes_ds([(paths, gates)],
-                                            unified_schema(paths), cfg,
-                                            pass_id, splits=splits,
+        footers = _parsed_footers(paths)
+        schema = unified_schema(list(footers.values()))
+        lineage, plan, _ = apply_changes_ds([(paths, gates)], schema,
+                                            cfg, pass_id, splits=splits,
                                             hot_convs=hot, pass_seq=last_seq,
-                                            lineage_break=True)
+                                            lineage_break=True, footers=footers)
         if lineage.num_rows:
             rows_applied = int(pa.compute.sum(
                 lineage.column("rows_in")).as_py() or 0)

@@ -46,7 +46,8 @@ from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import (finalize_visible, reduce_events,
                                               visible_state)
 from migration_pair_ray.functions.normalize import make_normalizer
-from migration_pair_ray.sources.changelog import discover, unified_schema
+from migration_pair_ray.schemas import unify_change_schemas
+from migration_pair_ray.sources.changelog import discover
 from migration_pair_ray.sources.readers import (driver_dataset, map_in_driver,
                                                 parse_footer, read_footer,
                                                 read_parquet_file)
@@ -66,7 +67,8 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
                      pass_seq: int = -1,
                      hot_convs: tuple[str, ...] = (),
                      lineage_break: bool = False,
-                     merge_fn=merge_partition
+                     merge_fn=merge_partition,
+                     footers: dict[str, tuple] | None = None
                      ) -> tuple[pa.Table, dict, dict[str, int]]:
     """Plan and run one pass over change files; returns the lineage table
     (one row per partition), the plan (``{"executor", "planned_bytes"}``
@@ -89,11 +91,13 @@ def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
     ``splits`` (LakeMeta.splits) routes a split base partition's events
     to its children.  ``lineage_break`` is stamped into every commit
     record (refill).  ``merge_fn`` is the per-partition merge; tests swap
-    in a fault-injecting one (testing.py)."""
+    in a fault-injecting one (testing.py).  ``footers`` maps a file to its
+    ``parse_footer`` when the caller has parsed it already (``replay``
+    builds the pass schema from them); the rest are parsed here."""
     inputs = [(f, fns) for files, fns in sources for f in files]
-    footers = map_in_driver(parse_footer, [f for f, _ in inputs])
-    inputs = [(f, md, fns) for (f, fns), (_, _, md) in zip(inputs, footers)]
-    change_bytes = sum(n for _, n, _ in footers)
+    footers = _parsed_footers([f for f, _ in inputs], footers)
+    inputs = [(f, footers[f][2], fns) for f, fns in inputs]
+    change_bytes = sum(footers[f][1] for f, _, _ in inputs)
     nbytes = change_bytes + _pinned_state_bytes(cfg)
     file_rows = {f: md.num_rows for f, md, _ in inputs}
     norm = make_normalizer(schema)
@@ -316,9 +320,12 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
                 cfg.hot_convs)
 
     pass_id = compute_pass_id(files)
+    # each change file's footer is parsed once per pass: the schemas below
+    # and the planner in apply_changes_ds share these parses
+    footers = _parsed_footers(files)
     # wire schema = this pass's NEW files only (the schema-evolution audit
     # trail must reflect the upstream wire, not pending carry-over)
-    schema = unified_schema(files)
+    schema = unified_schema([footers[f] for f in files])
     txn_state, read_files, read_schema = None, files, schema
     if cfg.txn_boundary:
         # transactional gate: input = new files + the last committed
@@ -327,7 +334,8 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
         txn_state = txnmod.prepare_pass(cfg, pass_id, files)
         if txn_state["pending_prev"]:
             read_files = files + txn_state["pending_prev"]
-            read_schema = unified_schema(read_files)
+            footers = _parsed_footers(read_files, footers)
+            read_schema = unified_schema([footers[f] for f in read_files])
     qdir = None
     if cfg.quarantine_dir:
         # this pass is uncommitted (discover() returned its files), so any
@@ -354,7 +362,7 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
         gates.append(make_quarantine_gate(str(qdir), cfg.merge_kernel))
     lineage, plan, file_rows = apply_changes_ds(
         [(read_files, gates)], read_schema, cfg, pass_id, splits=meta.splits(),
-        pass_seq=pass_seq, hot_convs=meta.hot_convs())
+        pass_seq=pass_seq, hot_convs=meta.hot_convs(), footers=footers)
 
     # raw events of the pass's new files (not the txn carry-over), from the
     # planner's footer parse; lineage rows_in is post-reduce
@@ -411,6 +419,24 @@ def _replay_locked(cfg: JobConfig, files: list[str], t0: float) -> dict:
         "events_per_sec": events_in / dt if dt > 0 else 0.0,
         "up_to_date": False,
     }
+
+
+def _parsed_footers(files: list[str], parsed: dict[str, tuple] | None = None
+                    ) -> dict[str, tuple]:
+    """``parsed`` plus a ``parse_footer`` of each of ``files`` it lacks
+    (on ``map_in_driver``'s threads)."""
+    parsed = dict(parsed or {})
+    todo = [f for f in files if f not in parsed]
+    parsed.update(zip(todo, map_in_driver(parse_footer, todo)))
+    return parsed
+
+
+def unified_schema(footers: list[tuple]) -> pa.Schema:
+    """A pass's unified change schema (``unify_change_schemas``) from its
+    change files' ``parse_footer`` results: no file is opened.  The
+    analog of the reference's ``GetColumnsInfo`` schema probe
+    (``Tasks/MigrationTask.cs:107-116``)."""
+    return unify_change_schemas([schema for schema, _, _ in footers])
 
 
 def read_in_driver(nbytes: int) -> bool:

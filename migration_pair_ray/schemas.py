@@ -35,6 +35,11 @@ CHANGE_SCHEMA = pa.schema(
     ]
 )
 
+# The columns a state file dictionary-encodes (stages/applier.
+# write_state_parquet): the strings whose values repeat.  Every other
+# column, and any column schema evolution adds, is written plain.
+DICTIONARY_COLUMNS = ("conv_id", "role", "tool", "op")
+
 MERGE_KEYS = ["conv_id", "turn_idx"]
 ORDER_COLS = ["ts", "lsn"]  # LWW total order within a key
 

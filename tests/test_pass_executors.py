@@ -355,11 +355,11 @@ def test_small_replay_starts_no_ray_data(tmp_path, request):
 
 @pytest.mark.usefixtures("ray_session")
 def test_driver_pass_parses_each_change_footer_once(tmp_lake, monkeypatch):
-    """The planner's footer parse serves the pass's read and its
-    ``events_in``: each change file's footer is parsed once
+    """One footer parse per change file serves the pass's schema, its
+    plan, its read and its ``events_in``: each footer is parsed once
     (``pq.read_metadata``, or a ``pq.ParquetFile`` opened without a
-    parsed footer), besides the schema probe (``unified_schema``, counted
-    apart)."""
+    parsed footer), and no schema probe (``pq.read_schema``) reads it
+    again."""
     log, lake = tmp_lake
     files = generate_change_log(log, n_events=2000, n_convs=12, n_files=3,
                                 tool_epoch=1, seed=17)
@@ -390,7 +390,7 @@ def test_driver_pass_parses_each_change_footer_once(tmp_lake, monkeypatch):
     assert events_in == sum(pq.read_metadata(f).num_rows for f in files)
     assert task_history(cfg)["passes"][0]["executor"] == "driver"
     assert {f: parses[f] for f in files} == {f: 1 for f in files}
-    assert probes == {f: 1 for f in files}
+    assert probes == {}
 
 
 @pytest.mark.usefixtures("ray_session")
