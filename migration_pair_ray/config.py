@@ -164,6 +164,3 @@ class JobConfig:
     @property
     def lineage_dir(self) -> str:
         return str(Path(self.lake_dir) / "_lineage")
-
-    def partition_path(self, pid: int) -> str:
-        return str(Path(self.lake_dir) / f"part={pid:05d}")

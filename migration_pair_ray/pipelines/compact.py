@@ -34,16 +34,16 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.pipelines.replay import remote_call
+from migration_pair_ray.stages.applier import (lsn_range, read_state_table,
+                                               write_partition_state)
 from migration_pair_ray.state.manifest import (
     LakeLayoutError,
     LakeMeta,
     ManifestStore,
-    content_hash,
 )
 
 
@@ -88,30 +88,6 @@ def _gc_inactive_manifests(cfg: JobConfig, store: ManifestStore,
         store.delete(pid)
         swept += 1
     return swept
-
-
-def _write_relayout_state(cfg: JobConfig, pid: int, pass_id: str,
-                          state: pa.Table) -> dict:
-    """Write ``state`` (key-sorted) as partition ``pid``'s single state
-    file of a split or unsplit; returns the manifest record's core."""
-    from migration_pair_ray.stages.applier import write_state_parquet
-    d = Path(cfg.lake_dir) / f"part={pid:05d}"
-    d.mkdir(parents=True, exist_ok=True)
-    path = str(d / f"state-{pass_id}.parquet")
-    write_state_parquet(state, path)
-    lsn = state.column("lsn") if state.num_rows else None
-    return {
-        "partition": pid,
-        "pass_id": pass_id,
-        "data_file": str(Path(path).relative_to(cfg.lake_dir)),
-        "row_count": state.num_rows,
-        "tombstones": int(pc.sum(pc.cast(
-            pc.equal(state.column("op"), "D"), pa.int64())).as_py() or 0)
-            if state.num_rows else 0,
-        "lsn_lo": int(pc.min(lsn).as_py()) if lsn is not None else 0,
-        "lsn_hi": int(pc.max(lsn).as_py()) if lsn is not None else 0,
-        "content_hash": content_hash(path, cfg.hash_state),
-    }
 
 
 def split_partition(cfg: JobConfig, base_pid: int, fanout: int = 2) -> dict:
@@ -160,7 +136,6 @@ def _split_partition_locked(cfg: JobConfig, base_pid: int,
         # still have files under (LakeMeta.record_unsplit retired it)
         new_gen = meta.gen_floor(base_pid)
 
-    from migration_pair_ray.stages.applier import read_state_table
     kernel = meta.merge_kernel()
     tables, src_sig = [], []
     for pid in src_pids:
@@ -213,9 +188,12 @@ def _split_partition_locked(cfg: JobConfig, base_pid: int,
             sub = sub.sort_by(_SORT_KEYS)
             if store.is_applied(cid, pass_id):
                 continue               # crash-resume: child already committed
-            store.commit(cid, dict(_write_relayout_state(cfg, cid, pass_id,
-                                                         sub),
-                                   split_of=base_pid, pass_seq=pass_seq))
+            layout, _ = write_partition_state(
+                cfg.lake_dir, cid, pass_id, sub, cfg.state_chunk_rows,
+                cfg.hash_state)
+            store.commit(cid, {"partition": cid, "pass_id": pass_id,
+                               **layout, **lsn_range(sub),
+                               "split_of": base_pid, "pass_seq": pass_seq})
 
     # THE commit point: routing + enumeration flip to the children here
     meta.record_split(base_pid, fanout, new_gen)
@@ -267,7 +245,6 @@ def _merge_partition_locked(cfg: JobConfig, base_pid: int) -> dict:
     child_ids = [LakeMeta.child_id(p, base_pid, c, gen) for c in range(fanout)]
 
     from migration_pair_ray.functions.lww import _SORT_KEYS
-    from migration_pair_ray.stages.applier import read_state_table
     store = ManifestStore(cfg.manifest_dir)
     kernel = meta.merge_kernel()
     tables, src_sig = [], []
@@ -294,9 +271,13 @@ def _merge_partition_locked(cfg: JobConfig, base_pid: int) -> dict:
         # interleave under the quotient routing — restore key order
         state = state.sort_by(_SORT_KEYS)
         rows_total = state.num_rows
-        store.commit(base_pid, dict(
-            _write_relayout_state(cfg, base_pid, pass_id, state),
-            merge_of=child_ids, lineage_break=True, pass_seq=pass_seq))
+        layout, _ = write_partition_state(
+            cfg.lake_dir, base_pid, pass_id, state, cfg.state_chunk_rows,
+            cfg.hash_state)
+        store.commit(base_pid, {"partition": base_pid, "pass_id": pass_id,
+                                **layout, **lsn_range(state),
+                                "merge_of": child_ids, "lineage_break": True,
+                                "pass_seq": pass_seq})
     elif tables:
         rows_total = sum(t.num_rows for t in tables)
 
@@ -410,8 +391,6 @@ def _rollback_locked(cfg: JobConfig, target: str) -> dict:
             # partition, not a missing manifest)
             new.update(partition=pid, row_count=0, tombstones=0,
                        data_file=None)   # canonical empty: no state files
-            new.pop("data_files", None)
-            new.pop("delta_files", None)
         new.update(pass_id=rb_pass,
                    rollback_of={"target_pass": target,
                                 "target_seq": target_seq,
@@ -569,43 +548,15 @@ def _compact_one_partition(lake_dir: str, m: dict, state_chunk_rows: int,
     driver performs the atomic rewrite + GC.  Honors the chunked layout:
     with ``state_chunk_rows > 0`` the fold re-chunks at key boundaries
     instead of collapsing into one unbounded file."""
-    from migration_pair_ray.schemas import MERGE_KEYS
-    from migration_pair_ray.stages.applier import (read_state_table,
-                                                   write_chunk_files,
-                                                   write_state_parquet)
-    pid = int(m["partition"])
+    from migration_pair_ray.state.manifest import LAYOUT_KEYS
     merged = read_state_table(lake_dir, m, kernel=kernel)  # base+deltas folded
-    d = Path(lake_dir) / f"part={pid:05d}"
-    d.mkdir(parents=True, exist_ok=True)
     # the -c<n> tag keeps names disjoint from the live base (same pass_id)
     # so a crash mid-write can never clobber a referenced file
     tag = f"{m['pass_id']}-c{len(m['delta_files'])}"
-
-    rec = {k: v for k, v in m.items()
-           if k not in ("data_file", "data_files", "delta_files",
-                        "content_hash")}
-    # null merge keys make chunk key ranges meaningless (the same guard
-    # every applier write path applies) — fall back to the single file
-    has_null_keys = any(merged.column(k).null_count > 0
-                        for k in MERGE_KEYS) if merged.num_rows else False
-    if state_chunk_rows > 0 and merged.num_rows and not has_null_keys:
-        entries = write_chunk_files(
-            lake_dir, merged, state_chunk_rows,
-            name_fn=lambda s: str(d / f"state-{tag}-{s:04d}.parquet"),
-            hash_state=hash_state)
-        rec.update(data_files=entries,
-                   row_count=sum(e["rows"] for e in entries),
-                   tombstones=sum(e["tombstones"] for e in entries))
-    else:
-        path = str(d / f"state-{tag}.parquet")
-        write_state_parquet(merged, path)
-        rec.update(data_file=str(Path(path).relative_to(lake_dir)),
-                   row_count=merged.num_rows,
-                   tombstones=int(pc.sum(pc.cast(
-                       pc.equal(merged.column("op"), "D"),
-                       pa.int64())).as_py() or 0),
-                   content_hash=content_hash(path, hash_state))
-    return rec
+    layout, _ = write_partition_state(lake_dir, int(m["partition"]), tag,
+                                      merged, state_chunk_rows, hash_state)
+    return dict({k: v for k, v in m.items() if k not in LAYOUT_KEYS},
+                **layout)
 
 
 def _compact_deltas_locked(cfg: JobConfig, base_pid: int | None) -> dict:

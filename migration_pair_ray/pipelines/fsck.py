@@ -42,22 +42,10 @@ import ray
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.pipelines.replay import remote_call
-from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
+from migration_pair_ray.stages.applier import partition_dir
+from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
+                                               base_entries)
 from migration_pair_ray.state.manifest import sha256_file as _sha256
-
-
-def _entries(manifest: dict) -> list[dict]:
-    """Normalize single-file and chunked manifests to one entry list."""
-    if "data_files" in manifest:
-        return list(manifest["data_files"])
-    if manifest.get("data_file"):
-        return [{
-            "file": manifest["data_file"],
-            "rows": manifest.get("row_count", 0),
-            "tombstones": manifest.get("tombstones", 0),
-            "content_hash": manifest.get("content_hash", ""),
-        }]
-    return []
 
 
 def _check_partition(lake_dir: str, pid: int, deep: bool,
@@ -75,7 +63,7 @@ def _check_partition(lake_dir: str, pid: int, deep: bool,
 
     store = ManifestStore(os.path.join(lake_dir, "_manifest"))
     manifest = store.read(pid)
-    part_dir = Path(lake_dir) / f"part={pid:05d}"
+    part_dir = partition_dir(lake_dir, pid)
     on_disk = {str(p.relative_to(lake_dir))
                for p in part_dir.glob("state-*.parquet")}
 
@@ -99,7 +87,7 @@ def _check_partition(lake_dir: str, pid: int, deep: bool,
                 "no manifest")
         return problems, 0, 0
 
-    entries = _entries(manifest)
+    entries = base_entries(manifest)
     # retained prev_records (time-travel window) legitimately pin files
     # beyond the current record's — they are referenced, not leaked
     from migration_pair_ray.state.manifest import referenced_files
@@ -336,7 +324,7 @@ def lake_stats(cfg: JobConfig) -> dict:
         if not m:
             continue
         parts += 1
-        entries = _entries(m)
+        entries = base_entries(m)
         dts = m.get("delta_files", [])
         per_part_files.append(len(entries) + len(dts))
         files += len(entries) + len(dts)

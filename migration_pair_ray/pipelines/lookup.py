@@ -48,7 +48,8 @@ import pyarrow.parquet as pq
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.functions.lww import finalize_visible, reduce_events
 from migration_pair_ray.state.bloom import load_sidecar
-from migration_pair_ray.state.manifest import LakeMeta, ManifestStore
+from migration_pair_ray.state.manifest import (LakeMeta, ManifestStore,
+                                               base_entries)
 
 
 def _route(conv_ids: list[str], turn_idx: list[int] | None,
@@ -164,24 +165,17 @@ def candidate_plan(cfg: JobConfig, conv_ids: list[str],
             i = bisect.bisect_left(want, lo)
             return i < len(want) and want[i] <= hi
 
-        files: list[str] = []
-        entries = m.get("data_files")
-        if entries is None:
-            if m.get("data_file") and bloom_hits(m["data_file"]):
-                files.append(m["data_file"])
-        else:
-            for e in entries:
-                # tuple range projected onto the conv component
-                if (range_hits(str(e["key_lo"][0]), str(e["key_hi"][0]))
-                        and bloom_hits(e["file"])):
-                    files.append(e["file"])
-        # merge-on-read deltas carry key ranges too; a delta whose range
-        # covers a requested conv may hold a NEWER version of the key, so
-        # it must join the plan (lookup_keys reduces winners after read)
-        for e in m.get("delta_files", []):
-            if (range_hits(str(e["key_lo"][0]), str(e["key_hi"][0]))
-                    and bloom_hits(e["file"])):
-                files.append(e["file"])
+        # base entries (a single data_file has no key range: its sidecar
+        # alone prunes it), then merge-on-read deltas: a delta whose
+        # range covers a requested conv may hold a NEWER version of the
+        # key, so it must join the plan (lookup_keys reduces winners
+        # after read)
+        files = [e["file"]
+                 for e in base_entries(m) + m.get("delta_files", [])
+                 if ("key_lo" not in e
+                     # tuple range projected onto the conv component
+                     or range_hits(str(e["key_lo"][0]), str(e["key_hi"][0])))
+                 and bloom_hits(e["file"])]
         if files:
             out[pid] = {"files": files, "convs": want}
     return out

@@ -4397,7 +4397,8 @@ def cdc_refill(sf_dir: str):
     from migration_pair_ray.state.manifest import ManifestStore
     store = ManifestStore(cfg.manifest_dir)
     pid = max(range(16), key=lambda p: ((store.read(p) or {}).get("row_count", 0), -p))
-    for sf in Path(cfg.lake_dir, f"part={pid:05d}").glob("state-*.parquet"):
+    from migration_pair_ray.stages.applier import partition_dir
+    for sf in partition_dir(cfg.lake_dir, pid).glob("state-*.parquet"):
         sf.unlink()
     store.delete(pid)
     refill_partition(cfg, pid)

@@ -51,7 +51,6 @@ import ray
 
 from migration_pair_ray.config import JobConfig
 from migration_pair_ray.pipelines.replay import remote_call
-from migration_pair_ray.schemas import MERGE_KEYS
 
 
 def _key_hash64(conv: pa.ChunkedArray | pa.Array,
@@ -102,10 +101,9 @@ def _repair_partition(lake_dir: str, prev: dict | None, kernel: str,
     (``route_mask`` over the broadcast repair table ``add``), return the
     new manifest record (uncommitted — the driver owns the commit order)."""
     from migration_pair_ray.functions.lww import _SORT_KEYS
-    from migration_pair_ray.stages.applier import (read_state_table,
-                                                   write_chunk_files,
-                                                   write_state_parquet)
-    from migration_pair_ray.state.manifest import content_hash
+    from migration_pair_ray.stages.applier import (lsn_range,
+                                                   read_state_table,
+                                                   write_partition_state)
 
     existing = read_state_table(lake_dir, prev, kernel=kernel)
     parts = []
@@ -130,29 +128,9 @@ def _repair_partition(lake_dir: str, prev: dict | None, kernel: str,
         record.update(row_count=0, tombstones=0, data_file=None)
         return record
 
-    tombstones = int(pc.sum(pc.cast(pc.equal(merged.column("op"), "D"),
-                                    pa.int64())).as_py() or 0)
-    lsn_lo = int(pc.min(merged.column("lsn")).as_py())
-    lsn_hi = int(pc.max(merged.column("lsn")).as_py())
-    d = Path(lake_dir) / f"part={pid:05d}"
-    d.mkdir(parents=True, exist_ok=True)
-    key_nulls = any(merged.column(k).null_count > 0 for k in MERGE_KEYS)
-    if state_chunk_rows > 0 and not key_nulls:
-        entries = write_chunk_files(
-            lake_dir, merged, state_chunk_rows,
-            name_fn=lambda s: str(d / f"state-{pass_id}-{s:04d}.parquet"),
-            hash_state=hash_state)
-        record.update(data_files=entries,
-                      row_count=sum(e["rows"] for e in entries),
-                      tombstones=sum(e["tombstones"] for e in entries),
-                      lsn_lo=lsn_lo, lsn_hi=lsn_hi)
-    else:
-        path = str(d / f"state-{pass_id}.parquet")
-        write_state_parquet(merged, path)
-        record.update(data_file=str(Path(path).relative_to(lake_dir)),
-                      row_count=merged.num_rows, tombstones=tombstones,
-                      lsn_lo=lsn_lo, lsn_hi=lsn_hi,
-                      content_hash=content_hash(path, hash_state))
+    layout, _ = write_partition_state(lake_dir, pid, pass_id, merged,
+                                      state_chunk_rows, hash_state)
+    record.update(layout, **lsn_range(merged))
     return record
 
 
@@ -223,10 +201,11 @@ def _repair_locked(src: JobConfig, dst: JobConfig, n_buckets: int,
         h = _key_hash64(t.column("conv_id"), t.column("turn_idx"))
         return t.filter(pa.array(np.isin(h, key_set)))
 
-    repair_rows = pa.concat_tables(
-        list(read_lake(src).map_batches(pick_src, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow")),
-        promote_options="permissive")
+    picked = list(read_lake(src).map_batches(pick_src, batch_format="pyarrow")
+                  .iter_batches(batch_format="pyarrow"))
+    # no batch when every diverged key exists on the follower only
+    repair_rows = (pa.concat_tables(picked, promote_options="permissive")
+                   if picked else pa.table({}))
 
     # 4. route every spliced row AND every diverged key under the
     # follower's layout; the union of both routings is the touched set

@@ -53,12 +53,12 @@ from migration_pair_ray.sources.readers import (driver_dataset, map_in_driver,
                                                 read_parquet_file)
 from migration_pair_ray.stages.applier import (LINEAGE_SCHEMA, RAW_LSN_COLS,
                                                merge_partition,
-                                               read_state_table,
-                                               state_file_paths)
+                                               read_state_table)
 from migration_pair_ray.stages.partition import (PART_COL,
                                                  add_partition_column,
                                                  partition_ids)
-from migration_pair_ray.state.manifest import CheckpointStore, compute_pass_id
+from migration_pair_ray.state.manifest import (CheckpointStore, base_entries,
+                                               compute_pass_id)
 
 
 def apply_changes_ds(sources: list[tuple[list[str], list]], schema: pa.Schema,
@@ -484,7 +484,8 @@ def read_partition(lake_dir: str, manifest: dict, kernel: str,
               else pa.schema([schema.field(c) for c in columns]))
     norm = make_normalizer(pruned)
     out = []
-    for p in state_file_paths(lake_dir, manifest):
+    for e in base_entries(manifest):
+        p = str(Path(lake_dir) / e["file"])
         arrow, _, md = read_footer(p)
         cols = (None if columns is None else
                 [c for c in columns if c in arrow.names] or ["lsn"])

@@ -24,6 +24,7 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -33,7 +34,9 @@ from migration_pair_ray.functions.lww import merge_tables_chunked
 from migration_pair_ray.schemas import DICTIONARY_COLUMNS, MERGE_KEYS
 from migration_pair_ray.sources.readers import read_footer, read_parquet_file
 from migration_pair_ray.stages.partition import PART_COL
-from migration_pair_ray.state.manifest import ManifestStore, content_hash
+from migration_pair_ray.state.manifest import (ManifestStore, base_entries,
+                                               content_hash, read_deltas,
+                                               record_files)
 
 # Columns the pass combiner (pipelines/replay.combine_changes) stamps on
 # every surviving change row: the min and max raw lsn of its partition's
@@ -118,6 +121,79 @@ def write_state_parquet(table: pa.Table, path: str) -> int:
     return nbytes
 
 
+def partition_dir(lake_dir: str, pid: int) -> Path:
+    """Partition ``pid``'s directory: the one spelling of ``part=NNNNN``."""
+    return Path(lake_dir) / f"part={pid:05d}"
+
+
+def _tombstones(table: pa.Table) -> int:
+    return int(pc.sum(pc.cast(pc.equal(table.column("op"), "D"),
+                              pa.int64())).as_py() or 0)
+
+
+def lsn_range(table: pa.Table) -> dict:
+    """``lsn_lo``/``lsn_hi`` of a record or delta entry: the min and max
+    ``lsn`` of ``table`` (0 for an empty table)."""
+    mm = pc.min_max(table.column("lsn")).as_py()
+    return {"lsn_lo": int(mm["min"] or 0), "lsn_hi": int(mm["max"] or 0)}
+
+
+def _chunked(entries: list[dict]) -> dict:
+    return {"data_files": entries,
+            "row_count": sum(e["rows"] for e in entries),
+            "tombstones": sum(e["tombstones"] for e in entries)}
+
+
+def write_partition_state(lake_dir: str, pid: int, tag: str, table: pa.Table,
+                          chunk_rows: int, hash_state: bool,
+                          start_seq: int = 0) -> tuple[dict, int]:
+    """The partition-state writer: every base layout of a manifest record
+    is decided here (the merge, compaction, split, merge-back and repair
+    all call it; ``state/manifest.base_entries`` is its reader).
+
+    ``table`` (key-sorted) becomes key-range chunk files
+    ``state-{tag}-{seq:04d}.parquet``, numbered from ``start_seq``, of
+    about ``chunk_rows`` rows cut at key-group boundaries (one key never
+    spans two chunks) when ``chunk_rows > 0`` and no merge key is null —
+    key ranges mean nothing on null keys.  Otherwise it becomes one
+    ``state-{tag}.parquet``.  Returns the record's layout fields
+    (``data_files``, or ``data_file`` + ``content_hash``; ``row_count``;
+    ``tombstones``) and the bytes written; the caller adds the partition,
+    pass id, lsn range and provenance."""
+    d = partition_dir(lake_dir, pid)
+    d.mkdir(parents=True, exist_ok=True)
+    n = table.num_rows
+    if chunk_rows <= 0 or not n or any(table.column(k).null_count
+                                       for k in MERGE_KEYS):
+        name = f"state-{tag}.parquet"
+        nbytes = write_state_parquet(table, str(d / name))
+        return {"data_file": f"{d.name}/{name}", "row_count": n,
+                "tombstones": _tombstones(table),
+                "content_hash": content_hash(str(d / name), hash_state)
+                }, nbytes
+    conv = np.asarray(table.column("conv_id").to_pandas())
+    turn = table.column("turn_idx").to_numpy(zero_copy_only=False)
+    entries: list[dict] = []
+    nbytes = lo = 0
+    while lo < n:
+        hi = min(lo + chunk_rows, n)
+        while hi < n and conv[hi] == conv[hi - 1] and turn[hi] == turn[hi - 1]:
+            hi += 1
+        sub = table.slice(lo, hi - lo)
+        name = f"state-{tag}-{start_seq + len(entries):04d}.parquet"
+        nbytes += write_state_parquet(sub, str(d / name))
+        entries.append({
+            "file": f"{d.name}/{name}",
+            "rows": sub.num_rows,
+            "tombstones": _tombstones(sub),
+            "key_lo": [str(conv[lo]), int(turn[lo])],
+            "key_hi": [str(conv[hi - 1]), int(turn[hi - 1])],
+            "content_hash": content_hash(str(d / name), hash_state),
+        })
+        lo = hi
+    return _chunked(entries), nbytes
+
+
 def merge_partition(group: pa.Table, cfg: JobConfig, pass_id: str,
                     pass_seq: int, lineage_break: bool) -> pa.Table:
     """The merge stage's per-partition function (both pass executors):
@@ -154,13 +230,6 @@ class Applier:
         self.lineage_break = lineage_break
         self.manifests = ManifestStore(cfg.manifest_dir)
 
-    def _state_file(self, pid: int, seq: int | None = None) -> str:
-        d = Path(self.lake_dir) / f"part={pid:05d}"
-        d.mkdir(parents=True, exist_ok=True)
-        name = (f"state-{self.pass_id}.parquet" if seq is None
-                else f"state-{self.pass_id}-{seq:04d}.parquet")
-        return str(d / name)
-
     def _lineage(self, pid: int, **kw) -> pa.Table:
         row = {
             "partition": pid, "pass_id": self.pass_id, "rows_in": 0,
@@ -170,6 +239,12 @@ class Applier:
         row.update(kw)
         return pa.Table.from_pylist([row], schema=LINEAGE_SCHEMA)
 
+    def _write(self, pid: int, table: pa.Table,
+               start_seq: int = 0) -> tuple[dict, int]:
+        return write_partition_state(
+            self.lake_dir, pid, self.pass_id, table,
+            self.cfg.state_chunk_rows, self.cfg.hash_state, start_seq)
+
     # ---------------------------------------------------------- state I/O
 
     def _gc(self, pid: int, referenced: set[str]) -> None:
@@ -178,17 +253,6 @@ class Applier:
         referenced and therefore stay on disk."""
         from migration_pair_ray.state.bloom import gc_partition_files
         gc_partition_files(self.lake_dir, pid, referenced)
-
-    def _write_chunks(self, pid: int, merged: pa.Table,
-                      seq: int) -> tuple[list[dict], int]:
-        """Write ``merged`` (key-sorted) as key-range chunk files of about
-        ``state_chunk_rows`` rows, cut at key-group boundaries (one key
-        never spans two chunks).  Returns (manifest entries, next seq)."""
-        entries = write_chunk_files(
-            self.lake_dir, merged, self.cfg.state_chunk_rows,
-            name_fn=lambda s: self._state_file(pid, s),
-            hash_state=self.cfg.hash_state, start_seq=seq)
-        return entries, seq + len(entries)
 
     def _commit(self, pid: int, record: dict, referenced: set[str]) -> None:
         if self.pass_seq >= 0:
@@ -223,11 +287,10 @@ class Applier:
         lsn_hi = int(pc.max(group.column(RAW_LSN_COLS[1])).as_py())
 
         if self.cfg.mor_max_deltas > 0 and prev is not None:
-            out = self._apply_mor(pid, prev, changes)
-            if out is not None:
-                record, rows_in = out
+            record = self._apply_mor(pid, prev, changes)
+            if record is not None:
                 return self._lineage(
-                    pid, rows_in=rows_in,
+                    pid, rows_in=group.num_rows,
                     # MoR pass: exact merged counts would need the merge
                     # this mode exists to avoid — report the base+delta
                     # upper bound (exact again after compaction)
@@ -240,71 +303,36 @@ class Applier:
                     seconds=time.perf_counter() - t0)
             # fall through: compaction pass (threshold reached) or
             # degenerate null keys — the merge paths below fold the
-            # existing deltas via read_state_table / _fold_deltas
+            # existing deltas via read_state_table / read_deltas
 
-        if self.cfg.state_chunk_rows > 0:
-            out = self._apply_chunked(pid, prev, changes)
-            if out is not None:
-                entries, rows_in = out
-                referenced = {e["file"] for e in entries}
-                self._commit(pid, {
-                    "partition": pid,
-                    "pass_id": self.pass_id,
-                    "data_files": entries,
-                    "row_count": sum(e["rows"] for e in entries),
-                    "tombstones": sum(e["tombstones"] for e in entries),
-                    "lsn_lo": lsn_lo,
-                    "lsn_hi": lsn_hi,
-                }, referenced)
-                nbytes = sum(os.path.getsize(str(Path(self.lake_dir) / e["file"]))
-                             for e in entries)
-                return self._lineage(
-                    pid, rows_in=rows_in,
-                    rows_state=sum(e["rows"] for e in entries),
-                    tombstones=sum(e["tombstones"] for e in entries),
-                    lsn_lo=lsn_lo, lsn_hi=lsn_hi,
-                    bytes=nbytes, seconds=time.perf_counter() - t0)
-            # fall through: degenerate (null merge keys) → single-file merge
-
-        existing = read_state_table(self.lake_dir, prev,
-                                    kernel=self.cfg.merge_kernel)
-
-        # merge sorts by (conv_id, turn_idx, ts, lsn) and keeps the
-        # kernel's surviving rows per key — its output is therefore already
-        # in the deterministic (conv_id, turn_idx) file order; no second
-        # sort needed.  The chunked variant bounds the transient
-        # sort/concat working set when a skewed partition outgrows
-        # merge_chunk_rows.
-        merged = merge_tables_chunked(existing, changes,
-                                      self.cfg.merge_chunk_rows,
-                                      self.cfg.merge_kernel)
-
-        tombstones = int(pc.sum(
-            pc.cast(pc.equal(merged.column("op"), "D"), pa.int64())
-        ).as_py() or 0)
-
-        path = self._state_file(pid)
-        nbytes = write_state_parquet(merged, path)
-        rel = str(Path(path).relative_to(self.lake_dir))
-        self._commit(pid, {
-            "partition": pid,
-            "pass_id": self.pass_id,
-            "data_file": rel,
-            "row_count": merged.num_rows,
-            "tombstones": tombstones,
-            "lsn_lo": lsn_lo,
-            "lsn_hi": lsn_hi,
-            "content_hash": content_hash(path, self.cfg.hash_state),
-        }, {rel})
-
+        out = (self._apply_chunked(pid, prev, changes)
+               if self.cfg.state_chunk_rows > 0 else None)
+        if out is None:
+            # copy-on-write, or a chunked lake's degenerate null merge
+            # keys (the writer then writes one file).  The merge sorts by
+            # (conv_id, turn_idx, ts, lsn) and keeps the kernel's
+            # surviving rows per key — its output is therefore already in
+            # the deterministic (conv_id, turn_idx) file order; no second
+            # sort needed.  The chunked variant bounds the transient
+            # sort/concat working set when a skewed partition outgrows
+            # merge_chunk_rows.
+            existing = read_state_table(self.lake_dir, prev,
+                                        kernel=self.cfg.merge_kernel)
+            out = self._write(pid, merge_tables_chunked(
+                existing, changes, self.cfg.merge_chunk_rows,
+                self.cfg.merge_kernel))
+        layout, nbytes = out
+        self._commit(pid, {"partition": pid, "pass_id": self.pass_id,
+                           **layout, "lsn_lo": lsn_lo, "lsn_hi": lsn_hi},
+                     set(record_files(layout)))
         return self._lineage(
-            pid, rows_in=group.num_rows, rows_state=merged.num_rows,
-            tombstones=tombstones, lsn_lo=lsn_lo, lsn_hi=lsn_hi,
+            pid, rows_in=group.num_rows, rows_state=layout["row_count"],
+            tombstones=layout["tombstones"], lsn_lo=lsn_lo, lsn_hi=lsn_hi,
             bytes=nbytes, seconds=time.perf_counter() - t0,
         )
 
     def _apply_mor(self, pid: int, prev: dict,
-                   changes: pa.Table) -> tuple[dict, int] | None:
+                   changes: pa.Table) -> dict | None:
         """Merge-on-read append (COMPACTION.md): write this pass's
         pre-reduced changes as a DELTA file next to the untouched base —
         write cost O(changes), never O(partition).  Readers fold
@@ -312,37 +340,31 @@ class Applier:
         Returns None to fall through to a compacting merge when the
         partition would exceed ``mor_max_deltas`` or keys are degenerate
         (null merge keys need the full-merge fallback)."""
-        import numpy as np
         from migration_pair_ray.functions.lww import reduce_events
-        from migration_pair_ray.state.manifest import record_files
 
         deltas = list(prev.get("delta_files", []))
         if len(deltas) + 1 > self.cfg.mor_max_deltas:
             return None
-        rows_in = changes.num_rows
         reduced = reduce_events(changes, self.cfg.merge_kernel)
         if any(reduced.column(k).null_count > 0 for k in MERGE_KEYS):
             return None
 
         conv = np.asarray(reduced.column("conv_id").to_pandas())
         turn = reduced.column("turn_idx").to_numpy(zero_copy_only=False)
-        d = Path(self.lake_dir) / f"part={pid:05d}"
+        d = partition_dir(self.lake_dir, pid)
         d.mkdir(parents=True, exist_ok=True)
         # "state-" prefix keeps the GC/fsck glob authoritative; the pass id
         # makes a retried task rewrite identical bytes (idempotent commit)
-        path = str(d / f"state-{self.pass_id}-delta.parquet")
-        nbytes = write_state_parquet(reduced, path)
+        name = f"state-{self.pass_id}-delta.parquet"
+        nbytes = write_state_parquet(reduced, str(d / name))
         entry = {
-            "file": str(Path(path).relative_to(self.lake_dir)),
+            "file": f"{d.name}/{name}",
             "rows": reduced.num_rows,
-            "tombstones": int(pc.sum(pc.cast(
-                pc.equal(reduced.column("op"), "D"),
-                pa.int64())).as_py() or 0),
-            "lsn_lo": int(pc.min(reduced.column("lsn")).as_py()),
-            "lsn_hi": int(pc.max(reduced.column("lsn")).as_py()),
+            "tombstones": _tombstones(reduced),
+            **lsn_range(reduced),
             "key_lo": [str(conv[0]), int(turn[0])],
             "key_hi": [str(conv[-1]), int(turn[-1])],
-            "content_hash": content_hash(path, self.cfg.hash_state),
+            "content_hash": content_hash(str(d / name), self.cfg.hash_state),
             "bytes": nbytes,
         }
         record = {k: v for k, v in prev.items()
@@ -355,42 +377,24 @@ class Applier:
                        entry["lsn_hi"]),
             delta_files=deltas + [entry])
         self._commit(pid, record, set(record_files(record)))
-        return record, rows_in
-
-    def _fold_deltas(self, prev: dict | None, changes: pa.Table) -> pa.Table:
-        """Concat a partition's pending delta rows into the change stream
-        (schema-conformed) so a compacting merge folds them — used by the
-        chunked path, which reads base chunk FILES directly rather than
-        through read_state_table."""
-        files = (prev or {}).get("delta_files") or []
-        if not files:
-            return changes
-        from migration_pair_ray.functions.normalize import make_normalizer
-        from migration_pair_ray.schemas import unify_change_schemas
-        tables = [read_parquet_file(str(Path(self.lake_dir) / e["file"]))
-                  for e in files]
-        schema = unify_change_schemas([t.schema for t in tables]
-                                      + [changes.schema])
-        norm = make_normalizer(schema)
-        return pa.concat_tables([norm(t) for t in tables] + [norm(changes)])
+        return record
 
     def _apply_chunked(self, pid: int, prev: dict | None,
-                       changes: pa.Table) -> tuple[list[dict], int] | None:
+                       changes: pa.Table) -> tuple[dict, int] | None:
         """Chunked-layout merge: rewrite ONLY the chunks whose key range
         the (reduced, key-sorted) changes touch; untouched chunks carry
         their manifest entries — and files — forward unrewritten.
+        Returns the layout and the bytes written (the rewritten chunks
+        only).
 
         Chunk i owns the half-open key range [key_lo_i, key_lo_{i+1})
         (first chunk also owns everything below), so every change key maps
         to exactly one chunk by binary search.  Returns None for the
         degenerate null-merge-key case (caller falls back to the
         single-file merge: correctness beats chunk pruning there)."""
-        import numpy as np
         from migration_pair_ray.functions.lww import reduce_events
-        from migration_pair_ray.schemas import MERGE_KEYS
 
-        rows_in = changes.num_rows
-        changes = reduce_events(self._fold_deltas(prev, changes),
+        changes = reduce_events(read_deltas(self.lake_dir, prev, changes),
                                 self.cfg.merge_kernel)
         if any(changes.column(k).null_count > 0 for k in MERGE_KEYS):
             return None
@@ -407,11 +411,9 @@ class Applier:
             if existing is not None and any(
                     existing.column(k).null_count > 0 for k in MERGE_KEYS):
                 return None
-            merged = merge_tables_chunked(existing, changes,
-                                          self.cfg.merge_chunk_rows,
-                                          self.cfg.merge_kernel)
-            new_entries, _ = self._write_chunks(pid, merged, 0)
-            return new_entries, rows_in
+            return self._write(pid, merge_tables_chunked(
+                existing, changes, self.cfg.merge_chunk_rows,
+                self.cfg.merge_kernel))
 
         conv = np.asarray(changes.column("conv_id").to_pandas())
         turn = changes.column("turn_idx").to_numpy(zero_copy_only=False)
@@ -428,7 +430,7 @@ class Applier:
         starts.append(changes.num_rows)
 
         new_entries: list[dict] = []
-        seq = 0
+        seq = nbytes = 0
         for i, ent in enumerate(entries):
             lo_c, hi_c = starts[i], starts[i + 1]
             if hi_c <= lo_c:
@@ -440,49 +442,11 @@ class Applier:
                                           changes.slice(lo_c, hi_c - lo_c),
                                           self.cfg.merge_chunk_rows,
                                           self.cfg.merge_kernel)
-            written, seq = self._write_chunks(pid, merged, seq)
-            new_entries.extend(written)
-        return new_entries, rows_in
-
-
-def write_chunk_files(lake_dir: str, merged: pa.Table, chunk_rows: int,
-                      name_fn, hash_state: bool,
-                      start_seq: int = 0) -> list[dict]:
-    """The ONE chunk-cutting authority: write a key-sorted table as
-    key-range chunk files of about ``chunk_rows`` rows, cut at key-group
-    boundaries (one key never spans two chunks), fsync'd.  Used by the
-    applier's chunked merge and by delta compaction — callers supply the
-    file-naming scheme (``name_fn(seq) -> abs path``).  Callers must have
-    handled null merge keys first: key ranges are only meaningful on
-    non-null keys."""
-    import numpy as np
-    n = merged.num_rows
-    entries: list[dict] = []
-    if n == 0:
-        return entries
-    conv = np.asarray(merged.column("conv_id").to_pandas())
-    turn = merged.column("turn_idx").to_numpy(zero_copy_only=False)
-    lo, seq = 0, start_seq
-    while lo < n:
-        hi = min(lo + max(chunk_rows, 1), n)
-        while hi < n and (conv[hi] == conv[hi - 1]
-                          and turn[hi] == turn[hi - 1]):
-            hi += 1
-        sub = merged.slice(lo, hi - lo)
-        path = name_fn(seq)
-        write_state_parquet(sub, path)
-        entries.append({
-            "file": str(Path(path).relative_to(lake_dir)),
-            "rows": sub.num_rows,
-            "tombstones": int(pc.sum(pc.cast(
-                pc.equal(sub.column("op"), "D"), pa.int64())).as_py() or 0),
-            "key_lo": [str(conv[lo]), int(turn[lo])],
-            "key_hi": [str(conv[hi - 1]), int(turn[hi - 1])],
-            "content_hash": content_hash(path, hash_state),
-        })
-        seq += 1
-        lo = hi
-    return entries
+            layout, n = self._write(pid, merged, seq)
+            new_entries.extend(layout["data_files"])
+            seq += len(layout["data_files"])
+            nbytes += n
+        return _chunked(new_entries), nbytes
 
 
 def read_state_table(lake_dir: str, manifest: dict | None,
@@ -499,41 +463,20 @@ def read_state_table(lake_dir: str, manifest: dict | None,
     per process."""
     if not manifest:
         return None
-
-    def read(rel: str) -> pa.Table:
-        path = str(Path(lake_dir) / rel)
-        return read_parquet_file(path, metadata=read_footer(path)[2])
-
-    files = manifest.get("data_files")
-    if files is None:
-        base = (read(manifest["data_file"]) if manifest.get("data_file")
-                else None)
-    elif not files:
-        base = None
-    else:
-        tables = [read(e["file"]) for e in files]
-        base = (tables[0] if len(tables) == 1
-                else pa.concat_tables(tables, promote_options="permissive"))
-    deltas = manifest.get("delta_files") if fold_deltas else None
-    if not deltas:
+    tables = []
+    for e in base_entries(manifest):
+        path = str(Path(lake_dir) / e["file"])
+        tables.append(read_parquet_file(path, metadata=read_footer(path)[2]))
+    base = (None if not tables else tables[0] if len(tables) == 1
+            else pa.concat_tables(tables, promote_options="permissive"))
+    deltas = read_deltas(lake_dir, manifest) if fold_deltas else None
+    if deltas is None:
         return base
     from migration_pair_ray.functions.lww import merge_tables
-    from migration_pair_ray.functions.normalize import make_normalizer
-    from migration_pair_ray.schemas import unify_change_schemas
-    dt = [read(e["file"]) for e in deltas]
-    schema = unify_change_schemas([t.schema for t in dt])
-    norm = make_normalizer(schema)
-    return merge_tables(base, pa.concat_tables([norm(t) for t in dt]),
-                        kernel=kernel)
+    return merge_tables(base, deltas, kernel=kernel)
 
 
 def state_file_paths(lake_dir: str, manifest: dict | None) -> list[str]:
-    """Absolute paths of a partition's committed state files (both
-    layouts), in key order."""
-    if not manifest:
-        return []
-    files = manifest.get("data_files")
-    if files is None:
-        df = manifest.get("data_file")
-        return [str(Path(lake_dir) / df)] if df else []
-    return [str(Path(lake_dir) / e["file"]) for e in files]
+    """Absolute paths of a partition's base state files, in key order
+    (perfbench's ``scan.files`` counts them)."""
+    return [str(Path(lake_dir) / e["file"]) for e in base_entries(manifest)]

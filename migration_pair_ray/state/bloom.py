@@ -209,7 +209,8 @@ def gc_partition_files(lake_dir: str, pid: int,
     sidecars.  Returns (files_deleted, bytes_deleted) — sidecar deletions
     are counted in bytes but not in the file count (ops stats track state
     files; sidecars are their shadows)."""
-    d = Path(lake_dir) / f"part={pid:05d}"
+    from migration_pair_ray.stages.applier import partition_dir
+    d = partition_dir(lake_dir, pid)
     files = bytes_ = 0
     for old in d.glob("state-*.parquet"):
         if str(old.relative_to(lake_dir)) in referenced:

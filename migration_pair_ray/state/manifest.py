@@ -221,19 +221,62 @@ class CheckpointStore:
         _atomic_write(path, json.dumps(rec, indent=1).encode())
 
 
-def record_files(record: dict | None) -> list[str]:
-    """Lake-relative state-file paths ONE manifest record references —
-    handles all layouts (single ``data_file`` / chunked ``data_files`` /
-    merge-on-read ``delta_files`` appended to either base).  Does NOT
-    descend into ``prev_records``."""
+# The manifest fields that name a partition's state files: ``data_file``
+# (one file, with its ``content_hash``) or ``data_files`` (key-range chunk
+# entries), plus merge-on-read ``delta_files`` on either base.
+# ``stages/applier.write_partition_state`` writes them; ``base_entries``,
+# ``record_files`` and ``read_deltas`` read them.
+LAYOUT_KEYS = ("data_file", "data_files", "delta_files", "content_hash")
+
+
+def base_entries(record: dict | None) -> list[dict]:
+    """A record's base state files as entries in key order: its chunk
+    entries (``data_files``), or one entry for a single ``data_file``
+    (``file``, ``rows``, ``tombstones``, ``content_hash``; no key range).
+    Merge-on-read deltas are not base entries."""
     if not record:
         return []
     files = record.get("data_files")
-    if files is None:
-        base = [record["data_file"]] if record.get("data_file") else []
-    else:
-        base = [e["file"] for e in files]
-    return base + [e["file"] for e in record.get("delta_files", [])]
+    if files is not None:
+        return list(files)
+    if not record.get("data_file"):
+        return []
+    return [{"file": record["data_file"],
+             "rows": record.get("row_count", 0),
+             "tombstones": record.get("tombstones", 0),
+             "content_hash": record.get("content_hash", "")}]
+
+
+def record_files(record: dict | None) -> list[str]:
+    """Lake-relative state-file paths ONE manifest record references —
+    base entries, then merge-on-read ``delta_files``.  Does NOT descend
+    into ``prev_records``."""
+    return [e["file"] for e in
+            base_entries(record) + (record or {}).get("delta_files", [])]
+
+
+def read_deltas(lake_dir: str, record: dict | None,
+                changes=None):
+    """A record's merge-on-read deltas as one table, every file conformed
+    to the unified schema, followed by ``changes`` when given (conformed
+    too); ``changes`` as is when the record has no deltas.  Each file's
+    footer comes from ``read_footer``, parsed once per process."""
+    files = (record or {}).get("delta_files") or []
+    if not files:
+        return changes
+    import pyarrow as pa
+    from migration_pair_ray.functions.normalize import make_normalizer
+    from migration_pair_ray.schemas import unify_change_schemas
+    from migration_pair_ray.sources.readers import (read_footer,
+                                                    read_parquet_file)
+    tables = []
+    for e in files:
+        path = str(Path(lake_dir) / e["file"])
+        tables.append(read_parquet_file(path, metadata=read_footer(path)[2]))
+    if changes is not None:
+        tables.append(changes)
+    norm = make_normalizer(unify_change_schemas([t.schema for t in tables]))
+    return pa.concat_tables([norm(t) for t in tables])
 
 
 def referenced_files(manifest: dict | None) -> set[str]:

@@ -230,7 +230,7 @@ def test_chunked_state_layout_rewrites_touched_chunks_only(tmp_lake, tmp_path):
     })
     pq.write_table(tbl, os.path.join(
         log, "batch-00050-010000000000-010000000003.parquet"))
-    replay(cfg)
+    pass2 = replay(cfg)["pass_id"]
     replay(ctrl)
     pd.testing.assert_frame_equal(
         final_state(cfg).to_pandas().reset_index(drop=True),
@@ -262,6 +262,16 @@ def test_chunked_state_layout_rewrites_touched_chunks_only(tmp_lake, tmp_path):
                 carried += 1
     assert carried > 0, "no chunk was carried forward"
     assert rewritten > 0, "no chunk was rewritten"
+
+    # the pass's lineage bytes are the chunk files it wrote, not the
+    # carried-forward ones its records still reference
+    from migration_pair_ray.state.lineage import read_lineage
+    written = sum(os.path.getsize(os.path.join(lake, e["file"]))
+                  for entries in after.values() for e in entries
+                  if pass2 in e["file"])
+    assert written > 0
+    assert sum(r["bytes"] for r in read_lineage(cfg).to_pylist()
+               if r["pass_id"] == pass2) == written
 
     # idempotency: re-replay is a no-op
     assert replay(cfg)["up_to_date"]

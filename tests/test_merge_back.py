@@ -94,6 +94,43 @@ def test_merge_back_bit_identical(tmp_lake, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_split_and_merge_back_keep_chunks(tmp_lake):
+    """A chunked lake's split children and merged-back base are written
+    as key-range chunks (``state_chunk_rows``), as every other state
+    writer's output is, and reads stay equal to the LWW oracle."""
+    from migration_pair_ray.pipelines.lookup import lookup_keys
+    log, lake = tmp_lake
+    generate_change_log(log, n_events=1600, n_convs=8, n_files=2,
+                        tool_epoch=1, hot_frac=0.5, seed=61)
+    cfg = JobConfig(changelog_dir=log, lake_dir=lake, num_partitions=4,
+                    state_chunk_rows=40)
+    replay(cfg)
+    store = ManifestStore(cfg.manifest_dir)
+    want = _oracle(log)
+    convs = sorted(want["conv_id"].unique())[::2]
+    subset = want[want["conv_id"].isin(convs)].reset_index(drop=True)
+
+    def reads_match() -> None:
+        pd.testing.assert_frame_equal(_fs(cfg), want)
+        got = (lookup_keys(cfg, convs).to_pandas()[list(want.columns)]
+               .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+        pd.testing.assert_frame_equal(got, subset, check_dtype=False)
+
+    hot = _heaviest(cfg)
+    s = split_partition(cfg, hot, fanout=2)
+    children = [store.read(c) for c in s["children"]]
+    assert all("data_files" in m for m in children if m["row_count"])
+    assert sum(len(m.get("data_files", [])) for m in children) > 2
+    reads_match()
+
+    merge_partition(cfg, hot)
+    m = store.read(hot)
+    assert "data_file" not in m and len(m["data_files"]) > 1, m
+    reads_match()
+    assert validate_lake(cfg, deep=True)["ok"]
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_re_split_after_merge_uses_fresh_gen(tmp_lake):
     log, lake = tmp_lake
     generate_change_log(log, n_events=1200, n_convs=8, n_files=1,

@@ -88,6 +88,24 @@ def test_repair_removes_follower_ghost_keys(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_repair_follower_only_keys_with_no_source_row(tmp_path):
+    """With buckets fine enough that the ghost keys' buckets hold no
+    source row, the repair has nothing to splice in: it drops the ghosts
+    and converges."""
+    src, _ = _two_pass_lake(tmp_path)
+    dst = JobConfig(changelog_dir=str(tmp_path / "dlog"),
+                    lake_dir=str(tmp_path / "dlake"), num_partitions=4)
+    replicate(src, dst)
+    pq.write_table(_ghost_batch(),
+                   str(Path(dst.changelog_dir) / "batch-99999.parquet"))
+    replay(dst)
+
+    s = repair_replica(src, dst, n_buckets=1 << 20)
+    assert s["repaired"] and s["clean_after"]
+    _assert_equal_state(src, dst)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_repair_fills_skipped_pass(tmp_path):
     """A follower that skipped a retention-lost pass (missing_ok=True)
     is missing that pass's effects; repair transplants exactly those

@@ -15,9 +15,12 @@ import pytest
 
 from migration_pair_ray.changegen import generate_change_log
 from migration_pair_ray.config import JobConfig
-from migration_pair_ray.pipelines.compact import compact_deltas, split_partition
+from migration_pair_ray.pipelines.compact import (compact_deltas, merge_partition,
+                                                  split_partition)
+from migration_pair_ray.pipelines.feed import replicate
 from migration_pair_ray.pipelines.fsck import validate_lake
 from migration_pair_ray.pipelines.lookup import fetch_conversations, lookup_keys
+from migration_pair_ray.pipelines.repair import repair_replica
 from migration_pair_ray.pipelines.replay import final_state, replay
 from migration_pair_ray.schemas import DICTIONARY_COLUMNS
 from migration_pair_ray.stages import applier
@@ -83,9 +86,10 @@ def _with_extra_column(src: str, dst: str) -> str:
 @pytest.mark.usefixtures("ray_session")
 def test_every_state_writer_writes_lz4_with_key_dictionaries(tmp_path):
     """One file from each writer: copy-on-write state, merge-on-read delta,
-    key-range chunk, compaction output and split child.  Every column
-    chunk is LZ4; dictionary pages sit exactly on DICTIONARY_COLUMNS, and
-    a column schema evolution added gets none."""
+    key-range chunk, compaction output, split child, merged-back base and
+    a replica repair's partition rewrite.  Every column chunk is LZ4;
+    dictionary pages sit exactly on DICTIONARY_COLUMNS, and a column
+    schema evolution added gets none."""
     stage = tmp_path / "stage"
     files = generate_change_log(str(stage), n_events=1500, n_convs=10,
                                 n_files=3, tool_epoch=1, seed=29)
@@ -128,6 +132,22 @@ def test_every_state_writer_writes_lz4_with_key_dictionaries(tmp_path):
     check("split child", {p for c in split["children"]
                           for p in state_file_paths(cow.lake_dir,
                                                     store.read(c))})
+    merge_partition(cow, 0)
+    check("merged-back base", set(state_file_paths(cow.lake_dir,
+                                                   store.read(0))))
+
+    # a follower with a key the source never had: the repair rewrites the
+    # partition that holds it
+    follower = lake("follower")
+    replicate(cow, follower)
+    ghost = pq.read_table(files[0]).slice(0, 1).to_pylist()[0]
+    ghost.update(conv_id="zz-ghost", op="I", lsn=10**9)
+    pq.write_table(pa.Table.from_pylist([ghost], pq.read_schema(files[0])),
+                   str(Path(follower.changelog_dir) / "batch-99998.parquet"))
+    replay(follower)
+    bases = _base_files(follower)
+    assert repair_replica(cow, follower)["repaired"]
+    check("repair", _base_files(follower) - bases)
 
 
 def _zstd_writer(table: pa.Table, path: str) -> int:
